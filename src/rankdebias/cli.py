@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: data gen | data cmnist, pretrain, erm, debias, spectrum,
-sweep. Every command writes its artifacts plus a manifest.json into the
-output directory; rerunning with the same arguments reproduces every
+sweep. Every command writes its artifacts and then a manifest.json into
+the output directory; rerunning with the same arguments reproduces every
 artifact byte for byte (manifest wall-clock metadata aside).
 
 Exit codes: 0 success, 1 runtime failure (for example a diverged run),
@@ -21,7 +21,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,29 +66,11 @@ from .spectral import (
 
 OUT_ROOT_ENV = "RANKDEBIAS_OUT"
 
-# ExperimentConfig fields exposed as flags; flag name is the field name
-# with underscores turned into dashes
-_CONFIG_FLAGS = [
-    ("lambda_reg", float),
-    ("lambda_up", float),
-    ("tau", float),
-    ("epochs", int),
-    ("batch_size", int),
-    ("base_lr", float),
-    ("warmup_epochs", int),
-    ("weight_decay", float),
-    ("latent_dim", int),
-    ("proj_hidden", int),
-    ("proj_dim", int),
-    ("head_iters", int),
-    ("head_lr", float),
-    ("finetune_epochs", int),
-    ("finetune_lr", float),
-    ("finetune_momentum", float),
-    ("finetune_weight_decay", float),
-    ("seed", int),
-    ("modality", str),
-]
+# ExperimentConfig fields exposed as flags, typed by their defaults; flag
+# name is the field name with underscores turned into dashes. hidden_dims
+# has its own comma-separated flag and dataset is not a flag.
+_CONFIG_FLAGS = [(f.name, type(f.default)) for f in fields(ExperimentConfig)
+                 if f.name not in ("hidden_dims", "dataset")]
 
 
 def _resolve_out(path: str) -> Path:
@@ -230,7 +212,45 @@ def cmd_data(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- pretrain
+# ---------------------------------------------------------------- training
+
+
+def _run_training(args, cfg: ExperimentConfig, command: str, config: dict,
+                  input_args: tuple[str, ...], train, save, log_columns=None) -> int:
+    """The sequence the training commands share.
+
+    Resolves and creates --out and times train(), which returns (result,
+    log). save(out, result, log, sidecar) writes the command's artifacts,
+    the log goes to train_log.csv when log_columns is given, and
+    manifest.json comes last, so a crash never leaves a manifest naming
+    files that do not exist. The manifest hashes the paths held by the
+    input_args attributes of args that are set. A diverged run with a log
+    keeps its partial log and exits 1.
+    """
+    out = _resolve_out(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    clock = start_clock()
+    try:
+        result, log = train()
+    except TrainingDiverged as exc:
+        if log_columns is None:
+            raise
+        _write_train_log(out / "train_log.csv", exc.log, log_columns)
+        print(f"error: {exc} (partial log kept: {len(exc.log)} epochs)",
+              file=sys.stderr)
+        return 1
+    inputs = {name: getattr(args, name) for name in input_args if getattr(args, name)}
+    manifest = _manifest_for(command, config, inputs, cfg.seed, finish_clock(clock))
+    save(out, result, log, {**asdict(cfg), "manifest_hash": manifest.content_hash()})
+    if log_columns is not None:
+        _write_train_log(out / "train_log.csv", log, log_columns)
+    write_manifest(out, manifest)
+    return 0
+
+
+def _write_error_set(path: Path, error_set: ErrorSet) -> None:
+    _write_csv(path, ["index", "prediction"],
+               [[int(i), int(error_set.predictions[i])] for i in error_set.indices])
 
 
 def cmd_pretrain(args) -> int:
@@ -238,82 +258,50 @@ def cmd_pretrain(args) -> int:
     if args.role == "main":
         cfg = replace(cfg, lambda_reg=0.0)
     ds = _load_dataset(args.data)
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    clock = start_clock()
-    log_columns = ["epoch", "loss", "eff_rank", "lr"]
-    try:
-        encoder, log = pretrain_biased(ds, cfg)
-    except TrainingDiverged as exc:
-        _write_train_log(out / "train_log.csv", exc.log, log_columns)
-        print(f"error: {exc} (partial log kept: {len(exc.log)} epochs)",
-              file=sys.stderr)
-        return 1
-    manifest = _manifest_for("pretrain", asdict(cfg), {"data": args.data},
-                             cfg.seed, finish_clock(clock))
-    mhash = write_manifest(out, manifest)
-    save_checkpoint(out / "encoder.ckpt", encoder,
-                    {**asdict(cfg), "manifest_hash": mhash})
-    _write_train_log(out / "train_log.csv", log, log_columns)
-    print(f"wrote {out / 'encoder.ckpt'}")
-    print(f"final loss {log[-1]['loss']:.6g}, eff_rank {log[-1]['eff_rank']:.6g}")
-    return 0
 
+    def save(out, encoder, log, sidecar):
+        save_checkpoint(out / "encoder.ckpt", encoder, sidecar)
+        print(f"wrote {out / 'encoder.ckpt'}")
+        print(f"final loss {log[-1]['loss']:.6g}, eff_rank {log[-1]['eff_rank']:.6g}")
 
-# --------------------------------------------------------------------- erm
+    return _run_training(args, cfg, "pretrain", asdict(cfg), ("data",),
+                         lambda: pretrain_biased(ds, cfg), save,
+                         ["epoch", "loss", "eff_rank", "lr"])
 
 
 def cmd_erm(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args.data)
     test = _load_dataset(args.test) if args.test else None
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    clock = start_clock()
-    log_columns = ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"]
-    try:
-        model, log = erm_train(ds, cfg, target=args.target)
-    except TrainingDiverged as exc:
-        _write_train_log(out / "train_log.csv", exc.log, log_columns)
-        print(f"error: {exc} (partial log kept: {len(exc.log)} epochs)",
-              file=sys.stderr)
-        return 1
-    inputs = {"data": args.data}
-    if args.test:
-        inputs["test"] = args.test
-    manifest = _manifest_for("erm", {**asdict(cfg), "target": args.target},
-                             inputs, cfg.seed, finish_clock(clock))
-    mhash = write_manifest(out, manifest)
-    sidecar = {**asdict(cfg), "manifest_hash": mhash}
-    save_checkpoint(out / "encoder.ckpt", model.encoder, sidecar)
-    save_checkpoint(out / "head.ckpt", model.head, sidecar)
-    _write_train_log(out / "train_log.csv", log, log_columns)
 
-    labels = ds.y if args.target == "y" else ds.b
-    train_pred = model.predict(ds.inputs)
-    error_set = ErrorSet(np.flatnonzero(train_pred != labels), train_pred)
-    _write_csv(out / "error_set.csv", ["index", "prediction"],
-               [[int(i), int(error_set.predictions[i])] for i in error_set.indices])
-    eval_ds = test if test is not None else ds
-    if args.target == "y":
-        report = evaluate(model, eval_ds)
-        report.precision, report.recall = error_set_quality(error_set, ds)
-        _write_json(out / "metrics.json", report.to_dict())
+    def save(out, model, log, sidecar):
+        save_checkpoint(out / "encoder.ckpt", model.encoder, sidecar)
+        save_checkpoint(out / "head.ckpt", model.head, sidecar)
+        labels = ds.y if args.target == "y" else ds.b
+        train_pred = model.predict(ds.inputs)
+        error_set = ErrorSet(np.flatnonzero(train_pred != labels), train_pred)
+        _write_error_set(out / "error_set.csv", error_set)
+        eval_ds = test if test is not None else ds
+        if args.target == "y":
+            report = evaluate(model, eval_ds)
+            report.precision, report.recall = error_set_quality(error_set, ds)
+            metrics = report.to_dict()
+            summary = (f"conflict {report.bias_conflict_acc:.2f} aligned "
+                       f"{report.bias_aligned_acc:.2f} unbiased {report.unbiased_acc:.2f} "
+                       f"eff_rank {report.eff_rank:.4f}")
+        else:
+            # reversed diagnostic predicts b, so the grouped y-metrics do not apply
+            pred = model.predict(eval_ds.inputs)
+            acc_b = 100.0 * float((pred == eval_ds.b).mean())
+            metrics = {"target": "b", "bias_label_acc": acc_b}
+            summary = f"bias-label accuracy {acc_b:.2f}"
+        _write_json(out / "metrics.json", metrics)
         print(f"wrote model and metrics to {out}")
-        print(f"conflict {report.bias_conflict_acc:.2f} aligned "
-              f"{report.bias_aligned_acc:.2f} unbiased {report.unbiased_acc:.2f} "
-              f"eff_rank {report.eff_rank:.4f}")
-    else:
-        # reversed diagnostic predicts b, so the grouped y-metrics do not apply
-        pred = model.predict(eval_ds.inputs)
-        acc_b = 100.0 * float((pred == eval_ds.b).mean())
-        _write_json(out / "metrics.json", {"target": "b", "bias_label_acc": acc_b})
-        print(f"wrote model and metrics to {out}")
-        print(f"bias-label accuracy {acc_b:.2f}")
-    return 0
+        print(summary)
 
-
-# ------------------------------------------------------------------ debias
+    return _run_training(args, cfg, "erm", {**asdict(cfg), "target": args.target},
+                         ("data", "test"), lambda: erm_train(ds, cfg, target=args.target),
+                         save, ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"])
 
 
 def cmd_debias(args) -> int:
@@ -322,50 +310,40 @@ def cmd_debias(args) -> int:
     test = _load_dataset(args.test) if args.test else None
     biased_enc, _ = _load_encoder(args.biased_ckpt)
     main_enc, _ = _load_encoder(args.main_ckpt)
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    clock = start_clock()
-
     if not 0.0 < args.label_fraction <= 1.0:
         raise ValueError(f"label fraction must be in (0, 1], got {args.label_fraction}")
-    if args.label_fraction < 1.0:
-        seed = int(stream(cfg.seed, "label-split").integers(2**31))
-        labeled, _ = label_fraction_split(ds, args.label_fraction, seed=seed)
-    else:
-        labeled = ds
-    error_set = identify_error_set(biased_enc, labeled, cfg)
-    model, report = debiased_linear_eval(main_enc, labeled, error_set,
-                                         cfg.lambda_up, cfg, test=test)
-    if args.mode == "semisup":
-        model, report = finetune_semisup(model, labeled, error_set,
-                                         cfg.lambda_up, cfg, test=test)
 
-    inputs = {"data": args.data, "biased_ckpt": args.biased_ckpt,
-              "main_ckpt": args.main_ckpt}
-    if args.test:
-        inputs["test"] = args.test
-    manifest = _manifest_for(
-        "debias",
-        {**asdict(cfg), "mode": args.mode, "label_fraction": args.label_fraction},
-        inputs, cfg.seed, finish_clock(clock))
-    mhash = write_manifest(out, manifest)
-    sidecar = {**asdict(cfg), "manifest_hash": mhash}
-    _write_csv(out / "error_set.csv", ["index", "prediction"],
-               [[int(i), int(error_set.predictions[i])] for i in error_set.indices])
-    save_checkpoint(out / "head.ckpt", model.head, sidecar)
-    if args.mode == "semisup":
-        save_checkpoint(out / "encoder_finetuned.ckpt", model.encoder, sidecar)
-    payload = report.to_dict()
-    payload["mode"] = args.mode
-    payload["label_fraction"] = args.label_fraction
-    payload["labeled_n"] = len(labeled)
-    payload["error_set_size"] = len(error_set)
-    _write_json(out / "metrics.json", payload)
-    print(f"wrote metrics to {out / 'metrics.json'}")
-    print(f"error set {len(error_set)} of {len(labeled)} labeled samples")
-    print(f"conflict {report.bias_conflict_acc:.2f} aligned "
-          f"{report.bias_aligned_acc:.2f} unbiased {report.unbiased_acc:.2f}")
-    return 0
+    def train():
+        if args.label_fraction < 1.0:
+            seed = int(stream(cfg.seed, "label-split").integers(2**31))
+            labeled, _ = label_fraction_split(ds, args.label_fraction, seed=seed)
+        else:
+            labeled = ds
+        error_set = identify_error_set(biased_enc, labeled, cfg)
+        model, report = debiased_linear_eval(main_enc, labeled, error_set,
+                                             cfg.lambda_up, cfg, test=test)
+        if args.mode == "semisup":
+            model, report = finetune_semisup(model, labeled, error_set,
+                                             cfg.lambda_up, cfg, test=test)
+        return (labeled, error_set, model, report), None
+
+    def save(out, result, log, sidecar):
+        labeled, error_set, model, report = result
+        _write_error_set(out / "error_set.csv", error_set)
+        save_checkpoint(out / "head.ckpt", model.head, sidecar)
+        if args.mode == "semisup":
+            save_checkpoint(out / "encoder_finetuned.ckpt", model.encoder, sidecar)
+        _write_json(out / "metrics.json", {
+            **report.to_dict(), "mode": args.mode, "label_fraction": args.label_fraction,
+            "labeled_n": len(labeled), "error_set_size": len(error_set)})
+        print(f"wrote metrics to {out / 'metrics.json'}")
+        print(f"error set {len(error_set)} of {len(labeled)} labeled samples")
+        print(f"conflict {report.bias_conflict_acc:.2f} aligned "
+              f"{report.bias_aligned_acc:.2f} unbiased {report.unbiased_acc:.2f}")
+
+    config = {**asdict(cfg), "mode": args.mode, "label_fraction": args.label_fraction}
+    return _run_training(args, cfg, "debias", config,
+                         ("data", "biased_ckpt", "main_ckpt", "test"), train, save)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -514,7 +492,8 @@ def cmd_sweep(args) -> int:
         try:
             row.update(_sweep_job(family, base, n, classes, test_n,
                                   r, lam, lam_up, tau, seed))
-        except Exception as exc:  # noqa: BLE001 - recorded per row by contract
+        except (TrainingDiverged, ValueError, FloatingPointError) as exc:
+            # a diverged or rejected job is a row; any other error is a bug
             text = str(exc).replace(",", ";").replace("\n", " ")
             row["status"] = f"error: {text}"
             failures += 1

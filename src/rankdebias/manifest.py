@@ -25,11 +25,14 @@ def hash_bytes(data: bytes) -> str:
 
 def hash_path(path) -> str:
     """Content hash of a file, or of a directory tree (file names plus
-    their hashes, in sorted order)."""
+    their hashes, in sorted order). A directory's manifest.json files are
+    skipped: they carry wall-clock time, and the files they describe are
+    hashed anyway, so regenerating the same tree gives the same hash."""
     path = Path(path)
     if path.is_dir():
         digest = hashlib.sha256()
-        for child in sorted(p for p in path.rglob("*") if p.is_file()):
+        for child in sorted(p for p in path.rglob("*")
+                            if p.is_file() and p.name != MANIFEST_NAME):
             digest.update(str(child.relative_to(path)).encode())
             digest.update(hash_bytes(child.read_bytes()).encode())
         return digest.hexdigest()
@@ -82,18 +85,11 @@ def finish_clock(clock: dict) -> dict:
     return clock
 
 
-def write_manifest(out_dir, manifest: RunManifest) -> str:
-    """Write manifest.json into out_dir; returns the manifest hash that
-    other artifacts in the directory should reference."""
+def write_manifest(out_dir, manifest: RunManifest) -> None:
+    """Write manifest.json into out_dir. Artifacts that reference the run
+    carry manifest.content_hash(), so the manifest can be written last."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = manifest.to_dict()
     with open(out_dir / MANIFEST_NAME, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return payload["manifest_hash"]
-
-
-def read_manifest(out_dir) -> dict:
-    with open(Path(out_dir) / MANIFEST_NAME) as fh:
-        return json.load(fh)

@@ -242,22 +242,27 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
     """Read a checkpoint written by save_checkpoint; returns (net, sidecar)."""
     path = Path(path)
     with open(path, "rb") as f:
+
+        def read(size: int) -> bytes:
+            data = f.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated, {len(data)} of {size} bytes left")
+            return data
+
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read(4))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (ndims,) = struct.unpack("<I", f.read(4))
-        dims = list(struct.unpack(f"<{ndims}I", f.read(4 * ndims)))
+        (ndims,) = struct.unpack("<I", read(4))
+        dims = list(struct.unpack(f"<{ndims}I", read(4 * ndims)))
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            W = np.frombuffer(f.read(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out)
-            b = np.frombuffer(f.read(8 * fan_out), dtype="<f8")
+            W = np.frombuffer(read(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out)
             weights.append(W.astype(np.float64))
-            biases.append(b.astype(np.float64))
-        trailing = f.read(1)
-        if trailing:
+            biases.append(np.frombuffer(read(8 * fan_out), dtype="<f8").astype(np.float64))
+        if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")
     sidecar = {}

@@ -17,7 +17,8 @@ adding a consumer in one stage never shifts the draws of another.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -78,26 +79,25 @@ class ExperimentConfig:
     dataset: str = ""
 
     def __post_init__(self):
-        if self.lambda_reg < 0:
-            raise ValueError(f"lambda_reg must be >= 0, got {self.lambda_reg}")
-        if self.lambda_up < 1:
-            raise ValueError(f"lambda_up must be >= 1, got {self.lambda_up}")
+        for name, low in (("lambda_reg", 0), ("lambda_up", 1), ("epochs", 1),
+                          ("batch_size", 4), ("base_lr", 0), ("weight_decay", 0),
+                          ("latent_dim", 2), ("proj_hidden", 1), ("proj_dim", 1),
+                          ("head_iters", 1), ("head_lr", 0), ("finetune_epochs", 0),
+                          ("finetune_lr", 0), ("finetune_weight_decay", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.epochs < 1 or self.batch_size < 4:
-            raise ValueError("need epochs >= 1 and batch_size >= 4")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError(
                 f"need 0 <= warmup_epochs < epochs, got {self.warmup_epochs}, {self.epochs}"
             )
-        if self.weight_decay < 0 or self.finetune_weight_decay < 0:
-            raise ValueError("weight decay must be >= 0")
-        if self.latent_dim < 2 or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("latent_dim must be >= 2 and hidden widths >= 1")
-        if self.head_iters < 1 or self.finetune_epochs < 0:
-            raise ValueError("need head_iters >= 1 and finetune_epochs >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.finetune_momentum < 1:
+            raise ValueError(
+                f"finetune_momentum must be in [0, 1), got {self.finetune_momentum}"
+            )
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden_dims}")
         if self.modality not in ("vector", "cmnist-image"):
             raise ValueError(f"unknown modality {self.modality!r}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
@@ -156,18 +156,9 @@ class MetricsReport:
     recall: float = float("nan")
 
     def to_dict(self) -> dict:
-        def clean(x):
-            return None if isinstance(x, float) and np.isnan(x) else x
-
-        return {
-            "bias_conflict_acc": clean(self.bias_conflict_acc),
-            "bias_aligned_acc": clean(self.bias_aligned_acc),
-            "unbiased_acc": clean(self.unbiased_acc),
-            "group_table": self.group_table,
-            "eff_rank": clean(self.eff_rank),
-            "precision": clean(self.precision),
-            "recall": clean(self.recall),
-        }
+        """The fields as a dict, with NaN floats written as None."""
+        return {k: None if isinstance(v, float) and np.isnan(v) else v
+                for k, v in asdict(self).items()}
 
 
 # ------------------------------------------------------------------ helpers
@@ -190,12 +181,10 @@ def _check_input_dim(encoder: DenseNet, X: np.ndarray, where: str) -> None:
         )
 
 
-def _check_finite(loss: float, stage: str, epoch: int, step: int,
-                  log: list[dict] | None = None) -> None:
-    if not np.isfinite(loss):
-        raise TrainingDiverged(
-            f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
-        )
+def _check_error_set(error_set: ErrorSet | None, n: int) -> None:
+    if error_set is not None and n and error_set.predictions.shape[0] != n:
+        raise ValueError(f"error set built for {error_set.predictions.shape[0]} samples, "
+                         f"labeled set has {n}")
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator,
@@ -226,16 +215,94 @@ def _representation_rank(encoder: DenseNet, X: np.ndarray) -> float:
     return float(np.mean(ranks))
 
 
-def _make_schedule(cfg: ExperimentConfig, steps_per_epoch: int) -> ScheduleConfig:
-    total = cfg.epochs * steps_per_epoch
-    return ScheduleConfig(cfg.base_lr, cfg.warmup_epochs * steps_per_epoch, total)
+# ------------------------------------------------------------- training loop
 
 
-def _augment_batch(X: np.ndarray, rng: np.random.Generator, cfg: ExperimentConfig,
-                   feature_std: np.ndarray | None, image_shape) -> np.ndarray:
-    if cfg.modality == "vector":
-        return augment_vector_batch(X, rng, feature_std)
-    return augment_image_batch(X, rng, image_shape)
+@dataclass(frozen=True)
+class _Optimizer:
+    """How _fit updates parameters: Adam, or heavy-ball SGD when momentum
+    is set. lr maps the global step index to the learning rate."""
+
+    lr: Callable[[int], float]
+    weight_decay: float = 0.0
+    momentum: float | None = None
+
+
+def _cosine_adam(cfg: ExperimentConfig, steps_per_epoch: int) -> _Optimizer:
+    """Adam with weight decay under warmup-then-cosine decay over cfg.epochs."""
+    schedule = ScheduleConfig(cfg.base_lr, cfg.warmup_epochs * steps_per_epoch,
+                              cfg.epochs * steps_per_epoch)
+    return _Optimizer(lambda step: cosine_lr(schedule, min(step, schedule.total_steps)),
+                      cfg.weight_decay)
+
+
+def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
+         stage: str, epoch_row=None) -> list[dict]:
+    """The training loop of every stage; updates the nets in place.
+
+    The nets are chained, each feeding the next. epochs yields, per epoch,
+    an iterable of index batches; rows(idx) builds the input rows.
+    objective(idx, outs) sees every net's output and returns (loss, terms,
+    grad on the last output, extra grad on the first net's output or
+    None); the extra grad is added to the backpropagated one. After each
+    epoch, epoch_row(epoch, steps so far, per-term sums, batch count)
+    builds a log row. A non-finite loss raises TrainingDiverged carrying
+    the rows so far.
+    """
+    params = [p for net in nets for p in net.params()]
+    state = (AdamState if opt.momentum is None else MomentumState).init(params)
+    log: list[dict] = []
+    # refilled slot by slot, so each array of the previous step is freed
+    # only once its replacement exists; freeing a whole step at once let
+    # the allocator trim the heap and fault the pages back in every step
+    outs, caches = [None] * len(nets), [None] * len(nets)
+    step = 0
+    for epoch, batches in enumerate(epochs):
+        sums: dict[str, float] = {}
+        count = 0
+        for idx in batches:
+            h = rows(idx)
+            for i, net in enumerate(nets):
+                h, caches[i] = forward(net, h)
+                outs[i] = h
+            loss, terms, grad, extra = objective(idx, outs)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
+                )
+            grads: list[np.ndarray] = []
+            for i in reversed(range(len(nets))):
+                if i == 0 and extra is not None:
+                    grad = grad + extra
+                net_grads, grad = backward(nets[i], caches[i], grad)
+                grads = net_grads + grads
+            if opt.momentum is None:
+                adam_step(params, grads, state, opt.lr(step), weight_decay=opt.weight_decay)
+            else:
+                sgd_momentum_step(params, grads, state, opt.lr(step),
+                                  momentum=opt.momentum, weight_decay=opt.weight_decay)
+            for name, value in terms.items():
+                sums[name] = sums.get(name, 0.0) + value
+            count += 1
+            step += 1
+        if epoch_row is not None:
+            log.append(epoch_row(epoch, step, sums, count))
+    return log
+
+
+def _upweighted(labels: np.ndarray, error_indices: np.ndarray | None,
+                lambda_up: float):
+    """_fit objective: cross-entropy with error_indices upweighted."""
+    err = np.zeros(labels.shape[0], dtype=bool)
+    if error_indices is not None:
+        err[error_indices] = True
+
+    def objective(idx, outs):
+        loss, dlogits = debias_loss(outs[-1], labels[idx],
+                                    UpweightSpec(np.flatnonzero(err[idx]), lambda_up))
+        return loss, {}, dlogits, None
+
+    return objective
 
 
 # ----------------------------------------------------------------- erm_train
@@ -264,47 +331,37 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "erm-encoder-init"))
     head = make_linear_head(cfg.latent_dim, classes, stream(cfg.seed, "erm-head-init"))
-    params = encoder.params() + head.params()
-    state = AdamState.init(params)
     batch_rng = stream(cfg.seed, "erm-batches")
     # trailing batches of a single sample are skipped
     steps_per_epoch = n // cfg.batch_size + (1 if n % cfg.batch_size >= 2 else 0)
     if steps_per_epoch == 0:
         raise ValueError(f"dataset of {n} samples is too small to train on")
-    schedule = _make_schedule(cfg, steps_per_epoch)
+    opt = _cosine_adam(cfg, steps_per_epoch)
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
-    log: list[dict] = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        ce_sum, reg_sum, count = 0.0, 0.0, 0
-        for idx in _epoch_batches(n, cfg.batch_size, batch_rng, drop_small=2):
-            rep, enc_cache = forward(encoder, ds.inputs[idx])
-            logits, head_cache = forward(head, rep)
-            ce, dlogits = cross_entropy(logits, labels[idx])
-            head_grads, drep = backward(head, head_cache, dlogits)
-            loss = ce
-            if lam > 0:
-                penalty = rank_loss(rep)
-                loss += lam * penalty
-                drep = drep + lam * rank_loss_grad(rep)
-                reg_sum += penalty
-            enc_grads, _ = backward(encoder, enc_cache, drep)
-            _check_finite(loss, "erm_train", epoch, step, log)
-            lr = cosine_lr(schedule, min(step, schedule.total_steps))
-            adam_step(params, enc_grads + head_grads, state, lr,
-                      weight_decay=cfg.weight_decay)
-            ce_sum += ce
-            count += 1
-            step += 1
-        log.append({
+    def objective(idx, outs):
+        rep, logits = outs
+        ce, dlogits = cross_entropy(logits, labels[idx])
+        if lam > 0:
+            penalty = rank_loss(rep)
+            return (ce + lam * penalty, {"ce": ce, "rank_term": penalty}, dlogits,
+                    lam * rank_loss_grad(rep))
+        return ce, {"ce": ce, "rank_term": 0.0}, dlogits, None
+
+    def epoch_row(epoch, step, sums, count):
+        return {
             "epoch": epoch,
-            "loss": float(ce_sum / count + lam * reg_sum / count),
-            "ce": float(ce_sum / count),
-            "rank_term": float(reg_sum / count),
-            "lr": float(cosine_lr(schedule, min(step, schedule.total_steps))),
+            "loss": float(sums["ce"] / count + lam * sums["rank_term"] / count),
+            "ce": float(sums["ce"] / count),
+            "rank_term": float(sums["rank_term"] / count),
+            "lr": float(opt.lr(step)),
             "eff_rank": _representation_rank(encoder, probe),
-        })
+        }
+
+    epochs = (_epoch_batches(n, cfg.batch_size, batch_rng, drop_small=2)
+              for _ in range(cfg.epochs))
+    log = _fit([encoder, head], ds.inputs.__getitem__, epochs, objective, opt,
+               "erm_train", epoch_row)
     return Model(encoder, head), log
 
 
@@ -326,46 +383,37 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
                             stream(cfg.seed, "pretrain-encoder-init"))
     proj = DenseNet.init([cfg.latent_dim, cfg.proj_hidden, cfg.proj_dim],
                          stream(cfg.seed, "pretrain-proj-init"))
-    params = encoder.params() + proj.params()
-    state = AdamState.init(params)
     batch_rng = stream(cfg.seed, "pretrain-batches")
     aug_rng = stream(cfg.seed, "pretrain-augment")
 
     feature_std = ds.inputs.std(axis=0) if cfg.modality == "vector" else None
     image_shape = tuple(ds.meta.get("image_shape", (3, 28, 28)))
-    steps_per_epoch = n // cfg.batch_size
-    schedule = _make_schedule(cfg, steps_per_epoch)
+    opt = _cosine_adam(cfg, n // cfg.batch_size)
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
-    log: list[dict] = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        loss_sum, count = 0.0, 0
-        for idx in _epoch_batches(n, cfg.batch_size, batch_rng,
-                                  drop_small=cfg.batch_size):
-            X = ds.inputs[idx]
-            v1 = _augment_batch(X, aug_rng, cfg, feature_std, image_shape)
-            v2 = _augment_batch(X, aug_rng, cfg, feature_std, image_shape)
-            views = np.concatenate([v1, v2], axis=0)
-            rep, enc_cache = forward(encoder, views)
-            emb, proj_cache = forward(proj, rep)
-            loss, grad_views, grad_proj = stage1_loss(rep, emb, cfg.tau,
-                                                      cfg.lambda_reg)
-            _check_finite(loss, "pretrain", epoch, step, log)
-            proj_grads, drep = backward(proj, proj_cache, grad_proj)
-            enc_grads, _ = backward(encoder, enc_cache, drep + grad_views)
-            lr = cosine_lr(schedule, min(step, schedule.total_steps))
-            adam_step(params, enc_grads + proj_grads, state, lr,
-                      weight_decay=cfg.weight_decay)
-            loss_sum += loss
-            count += 1
-            step += 1
-        log.append({
+    def views(idx):
+        X = ds.inputs[idx]
+        if cfg.modality == "vector":
+            pair = [augment_vector_batch(X, aug_rng, feature_std) for _ in range(2)]
+        else:
+            pair = [augment_image_batch(X, aug_rng, image_shape) for _ in range(2)]
+        return np.concatenate(pair, axis=0)
+
+    def objective(idx, outs):
+        loss, grad_views, grad_proj = stage1_loss(*outs, cfg.tau, cfg.lambda_reg)
+        return loss, {"loss": loss}, grad_proj, grad_views if cfg.lambda_reg > 0 else None
+
+    def epoch_row(epoch, step, sums, count):
+        return {
             "epoch": epoch,
-            "loss": float(loss_sum / count),
+            "loss": float(sums["loss"] / count),
             "eff_rank": _representation_rank(encoder, probe),
-            "lr": float(cosine_lr(schedule, min(step, schedule.total_steps))),
-        })
+            "lr": float(opt.lr(step)),
+        }
+
+    epochs = (_epoch_batches(n, cfg.batch_size, batch_rng, drop_small=cfg.batch_size)
+              for _ in range(cfg.epochs))
+    log = _fit([encoder, proj], views, epochs, objective, opt, "pretrain", epoch_row)
     return encoder, log
 
 
@@ -383,7 +431,8 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
                 cfg: ExperimentConfig, rng_name: str,
                 error_indices: np.ndarray | None = None,
                 lambda_up: float = 1.0, iters: int | None = None) -> DenseNet:
-    """Train a linear head on frozen representations by minibatch Adam.
+    """Train a linear head on frozen representations by minibatch Adam on
+    i.i.d. batch draws, run as a single epoch.
 
     With error_indices set, those samples are upweighted by lambda_up;
     lambda_up = 1 reduces to plain cross-entropy bit for bit.
@@ -392,21 +441,11 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
     if n == 0:
         raise ValueError("cannot train a head on an empty labeled set")
     head = make_linear_head(reps.shape[1], classes, stream(cfg.seed, rng_name + "-init"))
-    state = AdamState.init(head.params())
     rng = stream(cfg.seed, rng_name + "-batches")
     steps = cfg.head_iters if iters is None else iters
-    err = np.zeros(n, dtype=bool)
-    if error_indices is not None:
-        err[error_indices] = True
-    for step in range(steps):
-        idx = rng.integers(0, n, min(cfg.batch_size, n))
-        logits, cache = forward(head, reps[idx])
-        batch_err = np.flatnonzero(err[idx])
-        loss, dlogits = debias_loss(logits, labels[idx],
-                                    UpweightSpec(batch_err, lambda_up))
-        _check_finite(loss, "head training", 0, step)
-        grads, _ = backward(head, cache, dlogits)
-        adam_step(head.params(), grads, state, cfg.head_lr)
+    draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(steps))
+    _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_indices, lambda_up),
+         _Optimizer(lambda step: cfg.head_lr), "head training")
     return head
 
 
@@ -433,11 +472,7 @@ def debiased_linear_eval(main_encoder: DenseNet, ds: BiasedDataset,
     """Train the final linear head on the frozen main encoder with the
     error-set samples upweighted. The encoder is never touched. Metrics are
     computed on `test` when given, else on the labeled set itself."""
-    if error_set is not None and len(ds) and error_set.predictions.shape[0] != len(ds):
-        raise ValueError(
-            f"error set built for {error_set.predictions.shape[0]} samples, "
-            f"labeled set has {len(ds)}"
-        )
+    _check_error_set(error_set, len(ds))
     _check_input_dim(main_encoder, ds.inputs, "debiased_linear_eval")
     reps = apply(main_encoder, ds.inputs)
     indices = error_set.indices if error_set is not None else None
@@ -462,32 +497,16 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
     n = len(ds)
     if n == 0:
         raise ValueError("labeled set is empty")
-    err = np.zeros(n, dtype=bool)
-    if error_set is not None:
-        if error_set.predictions.shape[0] != n:
-            raise ValueError(
-                f"error set built for {error_set.predictions.shape[0]} samples, "
-                f"labeled set has {n}"
-            )
-        err[error_set.indices] = True
-    params = tuned.encoder.params() + tuned.head.params()
-    state = MomentumState.init(params)
+    _check_error_set(error_set, n)
     batch_rng = stream(cfg.seed, "finetune-batches")
-    step = 0
-    for epoch in range(cfg.finetune_epochs):
-        for idx in _epoch_batches(n, cfg.batch_size, batch_rng, drop_small=2):
-            rep, enc_cache = forward(tuned.encoder, ds.inputs[idx])
-            logits, head_cache = forward(tuned.head, rep)
-            batch_err = np.flatnonzero(err[idx])
-            loss, dlogits = debias_loss(logits, ds.y[idx],
-                                        UpweightSpec(batch_err, lambda_up))
-            _check_finite(loss, "finetune", epoch, step)
-            head_grads, drep = backward(tuned.head, head_cache, dlogits)
-            enc_grads, _ = backward(tuned.encoder, enc_cache, drep)
-            sgd_momentum_step(params, enc_grads + head_grads, state,
-                              cfg.finetune_lr, momentum=cfg.finetune_momentum,
-                              weight_decay=cfg.finetune_weight_decay)
-            step += 1
+    epochs = (_epoch_batches(n, cfg.batch_size, batch_rng, drop_small=2)
+              for _ in range(cfg.finetune_epochs))
+    indices = error_set.indices if error_set is not None else None
+    _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs,
+         _upweighted(ds.y, indices, lambda_up),
+         _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,
+                    cfg.finetune_momentum),
+         "finetune")
     report = evaluate(tuned, test if test is not None else ds)
     if error_set is not None:
         report.precision, report.recall = error_set_quality(error_set, ds)

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from rankdebias import cli
 from rankdebias.cli import main
 from rankdebias.data import BiasedDataset
 from rankdebias.nn import load_checkpoint
+from rankdebias.pipeline import ExperimentConfig
 from rankdebias.spectral import read_matrix_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*groups are empty")
@@ -118,6 +120,46 @@ def test_erm_divergence_exits_1_and_keeps_partial_log(ws, tmp_path, capsys):
     assert "diverged" in err
     assert (tmp_path / "dvg" / "train_log.csv").exists()
     assert not (tmp_path / "dvg" / "encoder.ckpt").exists()
+
+
+def test_manifest_is_written_after_the_artifacts(ws, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_checkpoint", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run(["pretrain", "--data", ws / "ds", "--role", "main",
+             "--out", tmp_path / "p", *NET])
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+def test_sidecar_is_identical_across_dataset_regeneration(tmp_path):
+    gen = ["data", "gen", "--n", 480, "--classes", 4, "--bias-ratio", 0.95,
+           "--input-dim", 6, "--seed", 3]
+    for name in ("a", "b"):
+        assert run([*gen, "--out", tmp_path / f"ds_{name}"]) == 0
+        assert run(["pretrain", "--data", tmp_path / f"ds_{name}", "--role", "main",
+                    "--out", tmp_path / f"pre_{name}", *NET]) == 0
+    # the dataset manifests differ only in their wall clock
+    assert (tmp_path / "ds_a" / "manifest.json").read_bytes() != \
+        (tmp_path / "ds_b" / "manifest.json").read_bytes()
+    assert (tmp_path / "pre_a" / "encoder.ckpt.json").read_bytes() == \
+        (tmp_path / "pre_b" / "encoder.ckpt.json").read_bytes()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_lr", -1), ("head_lr", -1), ("finetune_lr", -1), ("finetune_momentum", 5),
+    ("finetune_momentum", 1), ("finetune_momentum", -0.5), ("proj_dim", 0),
+    ("proj_hidden", 0),
+])
+def test_bad_config_value_names_field_and_exits_2(ws, tmp_path, capsys, field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+    rc = run(["pretrain", "--data", ws / "ds", "--role", "biased",
+              "--out", tmp_path / "p", *NET, "--" + field.replace("_", "-"), value])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 # -------------------------------------------------------------------- erm
@@ -254,6 +296,16 @@ def test_sweep_all_ok_exits_0(tmp_path, capsys):
     rc = run(["sweep", "--spec", tmp_path / "sweep.json", "--out", tmp_path / "sw"])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken job")
+
+    monkeypatch.setattr(cli, "_sweep_job", broken)
+    (tmp_path / "sweep.json").write_text(json.dumps({"family": "erm", "seed": [0]}))
+    with pytest.raises(TypeError, match="broken job"):
+        run(["sweep", "--spec", tmp_path / "sweep.json", "--out", tmp_path / "sw"])
 
 
 def test_sweep_missing_spec_exits_2(tmp_path, capsys):

@@ -461,6 +461,18 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("keep", [6, 10, 100, -1])
+def test_checkpoint_truncated_names_path(tmp_path, keep):
+    # cuts inside the version, the layer count, the first weight matrix
+    # (the 24-byte header precedes it) and the last bias
+    net = DenseNet.init([5, 128, 3], np.random.default_rng(24))
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, net)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ValueError, match=r"cut\.ckpt: truncated"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_missing_sidecar_is_tolerated(tmp_path):
     net = DenseNet.init([2, 2], np.random.default_rng(23))
     path = tmp_path / "s.ckpt"
