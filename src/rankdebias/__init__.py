@@ -17,13 +17,11 @@ from .losses import UpweightSpec, cross_entropy, debias_loss, nt_xent, stage1_lo
 from .data import (
     BiasedDataset,
     GenConfig,
-    augment_views,
     cmnist_from_idx,
     gen_colorpoints,
     label_fraction_split,
     make_unbiased_testset,
     split,
-    subsample_aligned,
 )
 from .nn import DenseNet, ScheduleConfig, cosine_lr, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -61,13 +59,11 @@ __all__ = [
     "stage1_loss",
     "BiasedDataset",
     "GenConfig",
-    "augment_views",
     "cmnist_from_idx",
     "gen_colorpoints",
     "label_fraction_split",
     "make_unbiased_testset",
     "split",
-    "subsample_aligned",
     "DenseNet",
     "ScheduleConfig",
     "cosine_lr",

@@ -355,22 +355,6 @@ def make_unbiased_testset(source: BiasedDataset, seed: int = 0) -> BiasedDataset
                          source.num_bias_classes, dict(source.meta))
 
 
-def subsample_aligned(ds: BiasedDataset, fraction: float, seed: int = 0) -> BiasedDataset:
-    """Drop a uniformly random fraction of the bias-aligned samples.
-
-    Conflicting samples are untouched, so the conflict-to-align ratio
-    strictly increases for any fraction > 0.
-    """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    aligned_idx = np.flatnonzero(ds.aligned)
-    k_drop = int(round(fraction * aligned_idx.size))
-    dropped = rng.permutation(aligned_idx)[:k_drop]
-    keep = np.setdiff1d(np.arange(len(ds)), dropped)
-    return ds.take(keep)
-
-
 def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, ...]:
     """Disjoint splits stratified by (y, b) group.
 
@@ -520,24 +504,3 @@ def augment_image_batch(X, rng: np.random.Generator, image_shape,
     for i in range(X.shape[0]):
         out[i] = _augment_image(X[i].reshape(c, h, w), rng, cfg).reshape(-1)
     return out
-
-
-def augment_views(x, modality: str, seed: int, *, feature_std=None,
-                  image_shape=(3, 28, 28), config=None) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent stochastic views of one input, deterministic per seed.
-
-    modality is "vector" (feature_std defaults to all ones) or
-    "cmnist-image" (x is a flattened channel-major image).
-    """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=np.float64)
-    if modality == "vector":
-        std = np.ones(x.shape[0]) if feature_std is None else feature_std
-        v1 = augment_vector_batch(x[None, :], rng, std, config)[0]
-        v2 = augment_vector_batch(x[None, :], rng, std, config)[0]
-    elif modality == "cmnist-image":
-        v1 = augment_image_batch(x[None, :], rng, image_shape, config)[0]
-        v2 = augment_image_batch(x[None, :], rng, image_shape, config)[0]
-    else:
-        raise ValueError(f"unknown modality {modality!r}")
-    return v1, v2

@@ -133,7 +133,9 @@ def stage1_loss(views_out, proj_out, tau: float, lambda_reg: float):
 
     Returns (loss, grad_views, grad_proj). grad_views holds only the rank
     term; the contrastive part reaches the encoder through the projection
-    head, so the caller adds the backpropagated grad_proj to it.
+    head, so the caller adds the backpropagated grad_proj to it. With the
+    penalty on, non-finite encoder outputs (a diverged encoder) give a NaN
+    loss, which the caller's finite-loss check catches.
     """
     views_out = np.asarray(views_out, dtype=np.float64)
     proj_out = np.asarray(proj_out, dtype=np.float64)
@@ -145,7 +147,9 @@ def stage1_loss(views_out, proj_out, tau: float, lambda_reg: float):
     if lambda_reg < 0:
         raise ValueError(f"lambda_reg must be >= 0, got {lambda_reg}")
     loss, grad_proj = nt_xent(proj_out, tau)
-    if lambda_reg > 0:
+    if lambda_reg > 0 and not np.all(np.isfinite(views_out)):
+        loss, grad_views = np.nan, np.zeros_like(views_out)
+    elif lambda_reg > 0:
         loss += lambda_reg * rank_loss(views_out)
         grad_views = lambda_reg * rank_loss_grad(views_out)
     else:

@@ -17,10 +17,20 @@ from pathlib import Path
 from . import __version__
 
 MANIFEST_NAME = "manifest.json"
+HASH_CHUNK_BYTES = 1 << 20
 
 
 def hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _hash_file(path: Path) -> str:
+    """sha256 of a file, read in HASH_CHUNK_BYTES pieces."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def hash_path(path) -> str:
@@ -34,9 +44,9 @@ def hash_path(path) -> str:
         for child in sorted(p for p in path.rglob("*")
                             if p.is_file() and p.name != MANIFEST_NAME):
             digest.update(str(child.relative_to(path)).encode())
-            digest.update(hash_bytes(child.read_bytes()).encode())
+            digest.update(_hash_file(child).encode())
         return digest.hexdigest()
-    return hash_bytes(path.read_bytes())
+    return _hash_file(path)
 
 
 @dataclass

@@ -3,15 +3,17 @@
 Small on purpose: affine layers with ReLU on hidden layers and identity
 output, Adam and SGD-with-momentum updates, cosine learning-rate
 scheduling with linear warmup, and a flat binary checkpoint format. All
-state lives in plain numpy arrays so every gradient in the system can be
-checked against finite differences.
+of a net's parameters live in one float64 vector, DenseNet.flat, which
+is also the checkpoint payload; gradients come back in the same layout.
+All state lives in plain numpy arrays so every gradient in the system
+can be checked against finite differences.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +28,45 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class DenseNet:
-    """MLP parameters: weights[i] maps layer_dims[i] -> layer_dims[i+1]."""
+    """MLP parameters: weights[i] maps layer_dims[i] -> layer_dims[i+1].
+
+    All parameters live in the float64 vector flat, layer by layer: the
+    weight (row-major), then the bias. weights[i] and biases[i] are views
+    into flat, so an update to flat updates them. flat defaults to zeros.
+    """
 
     layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = self.layer_dims = [int(x) for x in self.layer_dims]
+        if len(dims) < 2 or any(x <= 0 for x in dims):
+            raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
+        layers = list(zip(dims[:-1], dims[1:]))
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
+        flat = self.flat = (np.zeros(size) if self.flat is None
+                            else np.ascontiguousarray(self.flat, dtype=np.float64))
+        if flat.shape != (size,):
+            raise ValueError(f"layer_dims {dims} need a flat vector of shape ({size},), "
+                             f"got {flat.shape}")
+        self.weights, self.biases = [], []
+        start = 0
+        for fan_in, fan_out in layers:
+            stop = start + fan_in * fan_out
+            self.weights.append(flat[start:stop].reshape(fan_in, fan_out))
+            self.biases.append(flat[stop:stop + fan_out])
+            start = stop + fan_out
 
     @classmethod
     def init(cls, layer_dims, rng: np.random.Generator) -> "DenseNet":
         """Kaiming-uniform fan-in initialization; biases start at zero."""
-        dims = [int(x) for x in layer_dims]
-        if len(dims) < 2 or any(x <= 0 for x in dims):
-            raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(6.0 / fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(dims, weights, biases)
+        net = cls(layer_dims)
+        for W in net.weights:
+            bound = np.sqrt(6.0 / W.shape[0])
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+        return net
 
     @property
     def in_dim(self) -> int:
@@ -54,22 +77,14 @@ class DenseNet:
         return self.layer_dims[-1]
 
     def params(self) -> list[np.ndarray]:
-        """Flat parameter list, alternating weight and bias per layer."""
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        """Views into flat, alternating weight and bias per layer."""
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def num_params(self) -> int:
-        return sum(p.size for p in self.params())
+        return self.flat.size
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            list(self.layer_dims),
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return DenseNet(list(self.layer_dims), self.flat.copy())
 
 
 def make_linear_head(in_dim: int, num_classes: int, rng: np.random.Generator) -> DenseNet:
@@ -106,12 +121,12 @@ def apply(net: DenseNet, X) -> np.ndarray:
     return out
 
 
-def backward(net: DenseNet, cache: ForwardCache, output_grad) -> tuple[list[np.ndarray], np.ndarray]:
+def backward(net: DenseNet, cache: ForwardCache, output_grad) -> tuple[DenseNet, np.ndarray]:
     """Reverse-mode gradients for the affine/ReLU stack.
 
-    Returns (param_grads, input_grad) with param_grads ordered like
-    net.params(). The cache must come from a forward pass of this net on
-    the same batch.
+    Returns (grads, input_grad): grads is a DenseNet of net's dims holding
+    the parameter gradients, so grads.flat lines up with net.flat. The
+    cache must come from a forward pass of this net on the same batch.
     """
     if cache.layer_dims != net.layer_dims:
         raise ValueError(
@@ -122,13 +137,13 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad) -> tuple[list[np.n
         raise ValueError(
             f"output_grad shape {delta.shape} does not match output {cache.pre[-1].shape}"
         )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.weights))
+    grads = DenseNet(net.layer_dims, np.empty_like(net.flat))
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
             delta = delta * (cache.pre[i] > 0.0)
-        grads[2 * i] = cache.inputs[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(cache.inputs[i].T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         delta = delta @ net.weights[i].T
     return grads, delta
 
@@ -217,9 +232,9 @@ def cosine_lr(cfg: ScheduleConfig, step: int) -> float:
 def save_checkpoint(path, net: DenseNet, config: dict | None = None) -> None:
     """Write the flat binary container plus its JSON sidecar.
 
-    Layout: magic "DFND", u32 version, u32 layer count, u32 dims, then all
-    parameters as little-endian f64 in layer order (weights row-major,
-    then bias). The sidecar at <path>.json repeats the architecture and
+    Layout: magic "DFND", u32 version, u32 layer count, u32 dims, then
+    net.flat as little-endian f64 (per layer the weight row-major, then
+    the bias). The sidecar at <path>.json repeats the architecture and
     records the training config for humans.
     """
     path = Path(path)
@@ -229,9 +244,7 @@ def save_checkpoint(path, net: DenseNet, config: dict | None = None) -> None:
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(dims)))
         f.write(struct.pack(f"<{len(dims)}I", *dims))
-        for W, b in zip(net.weights, net.biases):
-            f.write(W.astype("<f8").tobytes(order="C"))
-            f.write(b.astype("<f8").tobytes())
+        f.write(net.flat.astype("<f8").tobytes())
     sidecar = {"layer_dims": dims, "config": config or {}}
     with open(str(path) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
@@ -257,15 +270,15 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (ndims,) = struct.unpack("<I", read(4))
         dims = list(struct.unpack(f"<{ndims}I", read(4 * ndims)))
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            W = np.frombuffer(read(8 * fan_in * fan_out), dtype="<f8").reshape(fan_in, fan_out)
-            weights.append(W.astype(np.float64))
-            biases.append(np.frombuffer(read(8 * fan_out), dtype="<f8").astype(np.float64))
+        try:
+            net = DenseNet(dims)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        net.flat[:] = np.frombuffer(read(8 * net.num_params()), dtype="<f8")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")
     sidecar = {}
     if sidecar_path.exists():
         sidecar = json.loads(sidecar_path.read_text())
-    return DenseNet(dims, weights, biases), sidecar
+    return net, sidecar

@@ -249,7 +249,7 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     builds a log row. A non-finite loss raises TrainingDiverged carrying
     the rows so far.
     """
-    params = [p for net in nets for p in net.params()]
+    params = [net.flat for net in nets]
     state = (AdamState if opt.momentum is None else MomentumState).init(params)
     log: list[dict] = []
     # refilled slot by slot, so each array of the previous step is freed
@@ -270,16 +270,17 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
                 raise TrainingDiverged(
                     f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
                 )
-            grads: list[np.ndarray] = []
+            grads = [None] * len(nets)
             for i in reversed(range(len(nets))):
                 if i == 0 and extra is not None:
                     grad = grad + extra
-                net_grads, grad = backward(nets[i], caches[i], grad)
-                grads = net_grads + grads
+                grads[i], grad = backward(nets[i], caches[i], grad)
+            flat_grads = [g.flat for g in grads]
             if opt.momentum is None:
-                adam_step(params, grads, state, opt.lr(step), weight_decay=opt.weight_decay)
+                adam_step(params, flat_grads, state, opt.lr(step),
+                          weight_decay=opt.weight_decay)
             else:
-                sgd_momentum_step(params, grads, state, opt.lr(step),
+                sgd_momentum_step(params, flat_grads, state, opt.lr(step),
                                   momentum=opt.momentum, weight_decay=opt.weight_decay)
             for name, value in terms.items():
                 sums[name] = sums.get(name, 0.0) + value
@@ -342,6 +343,9 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     def objective(idx, outs):
         rep, logits = outs
         ce, dlogits = cross_entropy(logits, labels[idx])
+        if lam > 0 and not np.all(np.isfinite(rep)):
+            # a diverged encoder: the NaN loss stops _fit before rank_loss sees it
+            return np.nan, {}, dlogits, None
         if lam > 0:
             penalty = rank_loss(rep)
             return (ce + lam * penalty, {"ce": ce, "rank_term": penalty}, dlogits,

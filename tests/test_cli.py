@@ -2,6 +2,7 @@
 codes, rerun byte-identity, and the flag/config/default precedence."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def test_erm_divergence_exits_1_and_keeps_partial_log(ws, tmp_path, capsys):
     assert "diverged" in err
     assert (tmp_path / "dvg" / "train_log.csv").exists()
     assert not (tmp_path / "dvg" / "encoder.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", [["pretrain", "--role", "biased"], ["erm"]])
+def test_penalized_divergence_exits_1_and_keeps_partial_log(ws, tmp_path, capsys, command):
+    # the rank penalty must not reject the diverged encoder output as bad input
+    rc = run([*command, "--data", ws / "ds", "--lambda-reg", 0.1, "--base-lr", 1e150,
+              "--out", tmp_path / "dvg", *NET])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "diverged" in err
+    assert (tmp_path / "dvg" / "train_log.csv").exists()
 
 
 def test_manifest_is_written_after_the_artifacts(ws, tmp_path, monkeypatch):
@@ -257,6 +269,15 @@ def test_spectrum_outputs(ws, tmp_path, capsys):
     report = json.loads((tmp_path / "sp" / "report.json").read_text())
     printed = float(out.split("effective_rank")[1].split()[0])
     assert printed == pytest.approx(report["effective_rank"], abs=1e-12)
+
+
+def test_spectrum_degenerate_checkpoint_exits_2(ws, tmp_path, capsys):
+    # one layer dim and no parameters: once read as an identity encoder
+    ckpt = tmp_path / "one-dim.ckpt"
+    ckpt.write_bytes(b"DFND" + struct.pack("<III", 1, 1, 6))
+    rc = run(["spectrum", "--ckpt", ckpt, "--data", ws / "ds", "--out", tmp_path / "sp"])
+    assert rc == 2
+    assert "one-dim.ckpt" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- sweep

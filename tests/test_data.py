@@ -1,5 +1,5 @@
 """Dataset construction: the synthetic generator, color-MNIST from IDX,
-unbiased test sets, subsampling, splits, and view augmentation."""
+unbiased test sets, splits, and view augmentation."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from rankdebias.data import (
     VectorAugmentConfig,
     augment_image_batch,
     augment_vector_batch,
-    augment_views,
     cmnist_from_idx,
     gen_colorpoints,
     label_fraction_split,
@@ -26,7 +25,6 @@ from rankdebias.data import (
     read_idx_labels,
     split,
     spurious_map,
-    subsample_aligned,
     write_idx_images,
     write_idx_labels,
 )
@@ -335,33 +333,6 @@ def test_unbiased_testset_needs_known_generator():
         make_unbiased_testset(ds, seed=0)
 
 
-# ------------------------------------------------------------ subsample_aligned
-
-
-def test_subsample_zero_fraction_is_identity():
-    ds = gen_colorpoints(GenConfig(n=200, classes=4, bias_ratio=0.8, input_dim=8))
-    out = subsample_aligned(ds, 0.0)
-    np.testing.assert_array_equal(out.inputs, ds.inputs)
-    np.testing.assert_array_equal(out.b, ds.b)
-
-
-def test_subsample_arithmetic():
-    ds = gen_colorpoints(GenConfig(n=1000, classes=10, bias_ratio=0.99, seed=13))
-    out = subsample_aligned(ds, 0.5, seed=14)
-    assert int(out.aligned.sum()) == 495
-    assert int((~out.aligned).sum()) == 10
-    # conflicting rows unchanged
-    before = {r.tobytes() for r in ds.inputs[~ds.aligned]}
-    after = {r.tobytes() for r in out.inputs[~out.aligned]}
-    assert before == after
-
-
-def test_subsample_rejects_full_removal():
-    ds = gen_colorpoints(GenConfig(n=100, classes=2, bias_ratio=0.5, input_dim=6))
-    with pytest.raises(ValueError, match="fraction"):
-        subsample_aligned(ds, 1.0)
-
-
 # ------------------------------------------------------------------------ split
 
 
@@ -439,21 +410,24 @@ def test_vector_config_changes_do_not_shift_draws():
     np.testing.assert_array_equal(vb, va * 0.9)
 
 
+def _two_views(augment, seed):
+    rng = np.random.default_rng(seed)
+    return augment(rng)[0], augment(rng)[0]
+
+
 def test_augment_views_deterministic_per_seed():
-    rng = np.random.default_rng(26)
-    x = rng.normal(size=12)
-    v1, v2 = augment_views(x, "vector", seed=100)
-    w1, w2 = augment_views(x, "vector", seed=100)
+    x = np.random.default_rng(26).normal(size=(1, 12))
+
+    def augment(rng):
+        return augment_vector_batch(x, rng, np.ones(12))
+
+    v1, v2 = _two_views(augment, 100)
+    w1, w2 = _two_views(augment, 100)
     np.testing.assert_array_equal(v1, w1)
     np.testing.assert_array_equal(v2, w2)
     assert not np.array_equal(v1, v2)
-    u1, _ = augment_views(x, "vector", seed=101)
+    u1, _ = _two_views(augment, 101)
     assert not np.array_equal(v1, u1)
-
-
-def test_augment_views_rejects_unknown_modality():
-    with pytest.raises(ValueError, match="modality"):
-        augment_views(np.ones(4), "audio", seed=0)
 
 
 def test_image_degenerate_config_is_identity():
@@ -467,9 +441,13 @@ def test_image_degenerate_config_is_identity():
 
 def test_image_views_differ_and_are_seeded(tmp_path):
     rng = np.random.default_rng(28)
-    x = rng.random(3 * 28 * 28)
-    v1, v2 = augment_views(x, "cmnist-image", seed=200)
-    w1, _ = augment_views(x, "cmnist-image", seed=200)
+    x = rng.random((1, 3 * 28 * 28))
+
+    def augment(rng):
+        return augment_image_batch(x, rng, (3, 28, 28))
+
+    v1, v2 = _two_views(augment, 200)
+    w1, _ = _two_views(augment, 200)
     np.testing.assert_array_equal(v1, w1)
     assert not np.array_equal(v1, v2)
     assert v1.min() >= 0.0 and v1.max() <= 1.0

@@ -64,6 +64,28 @@ def test_init_rejects_bad_dims():
         DenseNet.init([4, 0, 2], rng)
 
 
+def test_weights_and_biases_are_views_into_flat():
+    net = DenseNet([2, 3, 1], np.arange(13, dtype=np.float64))
+    # per layer: the weight row-major, then the bias
+    np.testing.assert_array_equal(net.weights[0], [[0, 1, 2], [3, 4, 5]])
+    np.testing.assert_array_equal(net.biases[0], [6, 7, 8])
+    np.testing.assert_array_equal(net.weights[1], [[9], [10], [11]])
+    np.testing.assert_array_equal(net.biases[1], [12])
+    net.flat[0] = -1.0
+    net.biases[1][0] = -2.0
+    assert net.weights[0][0, 0] == -1.0 and net.flat[12] == -2.0
+    assert all(np.shares_memory(p, net.flat) for p in net.params())
+
+
+def test_flat_defaults_to_zeros_and_must_match_dims():
+    net = DenseNet([4, 8, 3])
+    np.testing.assert_array_equal(net.flat, np.zeros(4 * 8 + 8 + 8 * 3 + 3))
+    with pytest.raises(ValueError, match=r"\(67,\)"):
+        DenseNet([4, 8, 3], np.zeros(66))
+    with pytest.raises(ValueError, match="layer_dims"):
+        DenseNet([4], np.zeros(0))
+
+
 def test_copy_is_deep():
     net = DenseNet.init([3, 3], np.random.default_rng(2))
     dup = net.copy()
@@ -81,23 +103,21 @@ def test_make_linear_head_is_single_affine():
 
 
 def test_forward_zero_net_gives_zero_output():
-    net = DenseNet([3, 4, 2], [np.zeros((3, 4)), np.zeros((4, 2))],
-                   [np.zeros(4), np.zeros(2)])
+    net = DenseNet([3, 4, 2])
     out, _ = forward(net, np.random.default_rng(4).normal(size=(5, 3)))
     np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
 
 def test_forward_identity_layer_passes_input_through():
-    net = DenseNet([2, 2], [np.eye(2)], [np.zeros(2)])
+    net = DenseNet([2, 2], np.r_[np.eye(2).ravel(), np.zeros(2)])
     X = np.random.default_rng(5).normal(size=(6, 2))
     np.testing.assert_array_equal(apply(net, X), X)
 
 
 def test_forward_hidden_relu_clips_negatives():
     # one hidden unit fed -1, one fed +2; only the positive one survives
-    net = DenseNet([1, 2, 1],
-                   [np.array([[-1.0, 2.0]]), np.array([[1.0], [1.0]])],
-                   [np.zeros(2), np.zeros(1)])
+    # W0 = [[-1, 2]], b0 = 0, W1 = [[1], [1]], b1 = 0
+    net = DenseNet([1, 2, 1], np.array([-1.0, 2.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
     out = apply(net, np.array([[1.0]]))
     assert out[0, 0] == 2.0
     # final layer is affine, so negative outputs are allowed
@@ -141,7 +161,7 @@ def test_backward_zero_output_grad():
     net = DenseNet.init([4, 6, 2], rng)
     _, cache = forward(net, rng.normal(size=(5, 4)))
     grads, din = backward(net, cache, np.zeros((5, 2)))
-    for g in grads:
+    for g in grads.params():
         np.testing.assert_array_equal(g, 0.0)
     np.testing.assert_array_equal(din, 0.0)
 
@@ -149,14 +169,14 @@ def test_backward_zero_output_grad():
 def test_backward_linear_squared_error_closed_form():
     rng = np.random.default_rng(10)
     W = rng.normal(size=(3, 2))
-    net = DenseNet([3, 2], [W.copy()], [np.zeros(2)])
+    net = DenseNet([3, 2], np.r_[W.ravel(), np.zeros(2)])
     x = rng.normal(size=(1, 3))
     y = rng.normal(size=(1, 2))
     out, cache = forward(net, x)
     e = out - y  # loss = sum(e**2), dloss/dout = 2e
     grads, din = backward(net, cache, 2.0 * e)
-    np.testing.assert_allclose(grads[0], np.outer(x[0], 2.0 * e[0]), rtol=1e-12)
-    np.testing.assert_allclose(grads[1], 2.0 * e[0], rtol=1e-12)
+    np.testing.assert_allclose(grads.weights[0], np.outer(x[0], 2.0 * e[0]), rtol=1e-12)
+    np.testing.assert_allclose(grads.biases[0], 2.0 * e[0], rtol=1e-12)
     np.testing.assert_allclose(din, (2.0 * e) @ W.T, rtol=1e-12)
 
 
@@ -178,7 +198,8 @@ def test_backward_matches_finite_differences(seed):
     out = apply(net, X)
     grads, _ = backward(net, cache, 2.0 * (out - T))
     fd = net_central_diff(loss_of, net)
-    for g, r in zip(grads, fd):
+    assert grads.layer_dims == net.layer_dims
+    for g, r in zip(grads.params(), fd):
         assert rel_err(g, r) < 1e-4
 
 
@@ -414,8 +435,8 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
 
 
 def test_checkpoint_binary_layout(tmp_path):
-    net = DenseNet([2, 3], [np.arange(6, dtype=np.float64).reshape(2, 3)],
-                   [np.array([6.0, 7.0, 8.0])])
+    # W = [[0, 1, 2], [3, 4, 5]], b = [6, 7, 8]
+    net = DenseNet([2, 3], np.arange(9, dtype=np.float64))
     path = tmp_path / "lin.ckpt"
     save_checkpoint(path, net)
     raw = path.read_bytes()
@@ -470,6 +491,15 @@ def test_checkpoint_truncated_names_path(tmp_path, keep):
     save_checkpoint(path, net)
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ValueError, match=r"cut\.ckpt: truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [[10], [10, 0], []])
+def test_checkpoint_degenerate_header_names_path(tmp_path, dims):
+    # fewer than two dims, or a zero dim; [10] once loaded as an identity net
+    path = tmp_path / "deg.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims))
+    with pytest.raises(ValueError, match=r"deg\.ckpt: layer_dims"):
         load_checkpoint(path)
 
 

@@ -356,17 +356,22 @@ def onehot_dataset():
     return BiasedDataset(inputs, y, b, aligned, float(aligned.mean()), C, C, {})
 
 
+def linear_net(W) -> DenseNet:
+    """A single affine layer with weight W and zero bias."""
+    return DenseNet(list(W.shape), np.r_[W.ravel(), np.zeros(W.shape[1])])
+
+
 def perfect_model(C=3) -> Model:
     """Reads y straight off the one-hot block; always correct on onehot_dataset."""
-    enc = DenseNet([2 * C, C], [np.vstack([np.eye(C), np.zeros((C, C))])], [np.zeros(C)])
-    head = DenseNet([C, C], [np.eye(C)], [np.zeros(C)])
+    enc = linear_net(np.vstack([np.eye(C), np.zeros((C, C))]))
+    head = linear_net(np.eye(C))
     return Model(enc, head)
 
 
 def biased_model(C=3) -> Model:
     """Reads b off the bias block instead: correct exactly on aligned samples."""
-    enc = DenseNet([2 * C, C], [np.vstack([np.zeros((C, C)), np.eye(C)])], [np.zeros(C)])
-    head = DenseNet([C, C], [np.eye(C)], [np.zeros(C)])
+    enc = linear_net(np.vstack([np.zeros((C, C)), np.eye(C)]))
+    head = linear_net(np.eye(C))
     return Model(enc, head)
 
 
@@ -450,7 +455,7 @@ def test_error_set_quality_perfect_set():
 def test_bias_metric_bias_only_encoder_is_large():
     ds = onehot_dataset()
     C = 3
-    enc = DenseNet([2 * C, C], [np.vstack([np.zeros((C, C)), np.eye(C)])], [np.zeros(C)])
+    enc = linear_net(np.vstack([np.zeros((C, C)), np.eye(C)]))
     cfg = tiny_cfg(head_iters=300)
     assert bias_metric(enc, ds, cfg) > 2.0
 
@@ -458,7 +463,7 @@ def test_bias_metric_bias_only_encoder_is_large():
 def test_bias_metric_balanced_encoder_is_near_one():
     ds = onehot_dataset()
     C = 3
-    enc = DenseNet([2 * C, 2 * C], [np.eye(2 * C)], [np.zeros(2 * C)])
+    enc = linear_net(np.eye(2 * C))
     cfg = tiny_cfg(head_iters=300)
     m = bias_metric(enc, ds, cfg)
     assert 0.9 < m < 1.1
