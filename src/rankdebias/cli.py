@@ -1,9 +1,14 @@
 """Command-line surface.
 
 Subcommands: data gen | data cmnist, pretrain, erm, debias, spectrum,
-sweep. Every command writes its artifacts and then a manifest.json into
-the output directory; rerunning with the same arguments reproduces every
-artifact byte for byte (manifest wall-clock metadata aside).
+sweep. Every command creates --out (and its parents), writes its
+artifacts into a staging directory inside it, then moves them into --out
+and writes manifest.json last, so a directory that holds a manifest.json
+holds every artifact of the run it describes. A failed run leaves the
+files in --out as they were; a diverged training run leaves its partial
+train_log.csv and no manifest. Rerunning with the same arguments
+reproduces every artifact byte for byte (manifest wall-clock metadata
+aside).
 
 Exit codes: 0 success, 1 runtime failure (for example a diverged run),
 2 usage or input errors. Relative --out paths resolve under the
@@ -20,7 +25,9 @@ import argparse
 import itertools
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -35,10 +42,13 @@ from .data import (
     make_unbiased_testset,
 )
 from .manifest import (
+    MANIFEST_NAME,
+    STAGE_PREFIX,
     RunManifest,
     finish_clock,
     hash_path,
     start_clock,
+    write_json,
     write_manifest,
 )
 from .nn import apply, load_checkpoint, save_checkpoint
@@ -68,9 +78,9 @@ OUT_ROOT_ENV = "RANKDEBIAS_OUT"
 
 # ExperimentConfig fields exposed as flags, typed by their defaults; flag
 # name is the field name with underscores turned into dashes. hidden_dims
-# has its own comma-separated flag and dataset is not a flag.
+# has its own comma-separated flag.
 _CONFIG_FLAGS = [(f.name, type(f.default)) for f in fields(ExperimentConfig)
-                 if f.name not in ("hidden_dims", "dataset")]
+                 if f.name != "hidden_dims"]
 
 
 def _resolve_out(path: str) -> Path:
@@ -133,12 +143,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_train_log(path: Path, log: list[dict], columns: list[str]) -> None:
     _write_csv(path, columns, [[row[c] for c in columns] for row in log])
 
@@ -157,23 +161,60 @@ def _load_encoder(path: str):
     return load_checkpoint(ckpt)
 
 
-def _manifest_for(command: str, cfg_dict: dict, inputs: dict, seed: int,
-                  clock: dict) -> RunManifest:
-    return RunManifest(
-        command=command,
-        config=cfg_dict,
-        input_hashes={k: hash_path(v) for k, v in inputs.items()},
-        seed=seed,
-        wall_clock=clock,
-    )
+# ------------------------------------------------------------------ runner
+
+
+def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
+         log_columns: list[str] | None = None) -> int:
+    """The sequence every command shares, and the only code that writes
+    to --out.
+
+    Hashes the input paths in inputs (unset ones are skipped) into the
+    run's manifest, creates out, then times work(stage, manifest_hash).
+    work writes the command's artifacts into stage, a fresh directory
+    inside out that hash_path skips, and returns the exit code (None for
+    0). The run is then committed: the old manifest.json is moved out of
+    out first, each staged file replaces its namesake, and the new
+    manifest.json comes last.
+    If work raises TrainingDiverged and log_columns is given, only the
+    partial train_log.csv is committed and the exit code is 1. Any other
+    error leaves the files in out as they were.
+    """
+    manifest = RunManifest(command, config,
+                           {name: hash_path(p) for name, p in inputs.items() if p}, seed)
+    out.mkdir(parents=True, exist_ok=True)
+    # inside out, so every rename of the commit stays on one filesystem
+    stage = Path(tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=out))
+    clock = start_clock()
+    try:
+        try:
+            code = work(stage, manifest.content_hash()) or 0
+        except TrainingDiverged as exc:
+            if log_columns is None:
+                raise
+            _write_train_log(stage / "train_log.csv", exc.log, log_columns)
+            print(f"error: {exc} (partial log kept: {len(exc.log)} epochs)",
+                  file=sys.stderr)
+            manifest, code = None, 1
+        staged = sorted(stage.iterdir())
+        # a rename, so a failure here still leaves out as it was
+        if (out / MANIFEST_NAME).exists():
+            os.replace(out / MANIFEST_NAME, stage / MANIFEST_NAME)
+        for path in staged:
+            os.replace(path, out / path.name)
+        if manifest is not None:
+            manifest.wall_clock = finish_clock(clock)
+            write_manifest(stage, manifest)
+            os.replace(stage / MANIFEST_NAME, out / MANIFEST_NAME)
+        return code
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 # -------------------------------------------------------------------- data
 
 
 def cmd_data(args) -> int:
-    out = _resolve_out(args.out)
-    clock = start_clock()
     if args.data_cmd == "gen":
         gen_cfg = GenConfig(
             n=args.n,
@@ -183,69 +224,38 @@ def cmd_data(args) -> int:
             input_dim=args.input_dim if args.input_dim else 2 + args.classes,
             seed=args.seed,
         )
-        ds = gen_colorpoints(gen_cfg)
         inputs = {}
         config = {"generator": "colorpoints", **asdict(gen_cfg)}
     else:
         for path in (args.images, args.labels):
             if not Path(path).exists():
                 raise FileNotFoundError(f"IDX file not found: {path}")
-        ds = cmnist_from_idx(args.images, args.labels,
-                             bias_ratio=args.bias_ratio, seed=args.seed)
         inputs = {"images": args.images, "labels": args.labels}
         config = {
             "generator": "cmnist",
             "bias_ratio": args.bias_ratio,
             "seed": args.seed,
         }
-    ds.save(out)
-    manifest = _manifest_for(f"data {args.data_cmd}", config, inputs,
-                             args.seed, finish_clock(clock))
-    write_manifest(out, manifest)
-    counts = ds.group_counts()
-    print(f"wrote dataset to {out}")
-    print(f"n={len(ds)} classes={ds.num_classes} bias_ratio={ds.bias_ratio:g} "
-          f"aligned={int(ds.aligned.sum())} conflicting={int((~ds.aligned).sum())}")
-    print("group counts (rows y, cols b):")
-    for row in counts:
-        print("  " + " ".join(f"{int(c):5d}" for c in row))
-    return 0
+
+    def work(stage, manifest_hash):
+        if args.data_cmd == "gen":
+            ds = gen_colorpoints(gen_cfg)
+        else:
+            ds = cmnist_from_idx(args.images, args.labels,
+                                 bias_ratio=args.bias_ratio, seed=args.seed)
+        ds.save(stage)
+        counts = ds.group_counts()
+        print(f"wrote dataset to {args.out}")
+        print(f"n={len(ds)} classes={ds.num_classes} bias_ratio={ds.bias_ratio:g} "
+              f"aligned={int(ds.aligned.sum())} conflicting={int((~ds.aligned).sum())}")
+        print("group counts (rows y, cols b):")
+        for row in counts:
+            print("  " + " ".join(f"{int(c):5d}" for c in row))
+
+    return _run(args.out, f"data {args.data_cmd}", config, args.seed, inputs, work)
 
 
 # ---------------------------------------------------------------- training
-
-
-def _run_training(args, cfg: ExperimentConfig, command: str, config: dict,
-                  input_args: tuple[str, ...], train, save, log_columns=None) -> int:
-    """The sequence the training commands share.
-
-    Resolves and creates --out and times train(), which returns (result,
-    log). save(out, result, log, sidecar) writes the command's artifacts,
-    the log goes to train_log.csv when log_columns is given, and
-    manifest.json comes last, so a crash never leaves a manifest naming
-    files that do not exist. The manifest hashes the paths held by the
-    input_args attributes of args that are set. A diverged run with a log
-    keeps its partial log and exits 1.
-    """
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    clock = start_clock()
-    try:
-        result, log = train()
-    except TrainingDiverged as exc:
-        if log_columns is None:
-            raise
-        _write_train_log(out / "train_log.csv", exc.log, log_columns)
-        print(f"error: {exc} (partial log kept: {len(exc.log)} epochs)",
-              file=sys.stderr)
-        return 1
-    inputs = {name: getattr(args, name) for name in input_args if getattr(args, name)}
-    manifest = _manifest_for(command, config, inputs, cfg.seed, finish_clock(clock))
-    save(out, result, log, {**asdict(cfg), "manifest_hash": manifest.content_hash()})
-    if log_columns is not None:
-        _write_train_log(out / "train_log.csv", log, log_columns)
-    write_manifest(out, manifest)
-    return 0
 
 
 def _write_error_set(path: Path, error_set: ErrorSet) -> None:
@@ -258,29 +268,34 @@ def cmd_pretrain(args) -> int:
     if args.role == "main":
         cfg = replace(cfg, lambda_reg=0.0)
     ds = _load_dataset(args.data)
+    columns = ["epoch", "loss", "eff_rank", "lr"]
 
-    def save(out, encoder, log, sidecar):
-        save_checkpoint(out / "encoder.ckpt", encoder, sidecar)
-        print(f"wrote {out / 'encoder.ckpt'}")
+    def work(stage, manifest_hash):
+        encoder, log = pretrain_biased(ds, cfg)
+        save_checkpoint(stage / "encoder.ckpt", encoder,
+                        {**asdict(cfg), "manifest_hash": manifest_hash})
+        _write_train_log(stage / "train_log.csv", log, columns)
+        print(f"wrote {args.out / 'encoder.ckpt'}")
         print(f"final loss {log[-1]['loss']:.6g}, eff_rank {log[-1]['eff_rank']:.6g}")
 
-    return _run_training(args, cfg, "pretrain", asdict(cfg), ("data",),
-                         lambda: pretrain_biased(ds, cfg), save,
-                         ["epoch", "loss", "eff_rank", "lr"])
+    return _run(args.out, "pretrain", asdict(cfg), cfg.seed, {"data": args.data}, work, columns)
 
 
 def cmd_erm(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args.data)
     test = _load_dataset(args.test) if args.test else None
+    columns = ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"]
 
-    def save(out, model, log, sidecar):
-        save_checkpoint(out / "encoder.ckpt", model.encoder, sidecar)
-        save_checkpoint(out / "head.ckpt", model.head, sidecar)
+    def work(stage, manifest_hash):
+        model, log = erm_train(ds, cfg, target=args.target)
+        sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}
+        save_checkpoint(stage / "encoder.ckpt", model.encoder, sidecar)
+        save_checkpoint(stage / "head.ckpt", model.head, sidecar)
         labels = ds.y if args.target == "y" else ds.b
         train_pred = model.predict(ds.inputs)
         error_set = ErrorSet(np.flatnonzero(train_pred != labels), train_pred)
-        _write_error_set(out / "error_set.csv", error_set)
+        _write_error_set(stage / "error_set.csv", error_set)
         eval_ds = test if test is not None else ds
         if args.target == "y":
             report = evaluate(model, eval_ds)
@@ -295,13 +310,13 @@ def cmd_erm(args) -> int:
             acc_b = 100.0 * float((pred == eval_ds.b).mean())
             metrics = {"target": "b", "bias_label_acc": acc_b}
             summary = f"bias-label accuracy {acc_b:.2f}"
-        _write_json(out / "metrics.json", metrics)
-        print(f"wrote model and metrics to {out}")
+        write_json(stage / "metrics.json", metrics)
+        _write_train_log(stage / "train_log.csv", log, columns)
+        print(f"wrote model and metrics to {args.out}")
         print(summary)
 
-    return _run_training(args, cfg, "erm", {**asdict(cfg), "target": args.target},
-                         ("data", "test"), lambda: erm_train(ds, cfg, target=args.target),
-                         save, ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"])
+    return _run(args.out, "erm", {**asdict(cfg), "target": args.target}, cfg.seed,
+                {"data": args.data, "test": args.test}, work, columns)
 
 
 def cmd_debias(args) -> int:
@@ -313,7 +328,8 @@ def cmd_debias(args) -> int:
     if not 0.0 < args.label_fraction <= 1.0:
         raise ValueError(f"label fraction must be in (0, 1], got {args.label_fraction}")
 
-    def train():
+    def work(stage, manifest_hash):
+        sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}
         if args.label_fraction < 1.0:
             seed = int(stream(cfg.seed, "label-split").integers(2**31))
             labeled, _ = label_fraction_split(ds, args.label_fraction, seed=seed)
@@ -325,25 +341,21 @@ def cmd_debias(args) -> int:
         if args.mode == "semisup":
             model, report = finetune_semisup(model, labeled, error_set,
                                              cfg.lambda_up, cfg, test=test)
-        return (labeled, error_set, model, report), None
-
-    def save(out, result, log, sidecar):
-        labeled, error_set, model, report = result
-        _write_error_set(out / "error_set.csv", error_set)
-        save_checkpoint(out / "head.ckpt", model.head, sidecar)
-        if args.mode == "semisup":
-            save_checkpoint(out / "encoder_finetuned.ckpt", model.encoder, sidecar)
-        _write_json(out / "metrics.json", {
+            save_checkpoint(stage / "encoder_finetuned.ckpt", model.encoder, sidecar)
+        _write_error_set(stage / "error_set.csv", error_set)
+        save_checkpoint(stage / "head.ckpt", model.head, sidecar)
+        write_json(stage / "metrics.json", {
             **report.to_dict(), "mode": args.mode, "label_fraction": args.label_fraction,
             "labeled_n": len(labeled), "error_set_size": len(error_set)})
-        print(f"wrote metrics to {out / 'metrics.json'}")
+        print(f"wrote metrics to {args.out / 'metrics.json'}")
         print(f"error set {len(error_set)} of {len(labeled)} labeled samples")
         print(f"conflict {report.bias_conflict_acc:.2f} aligned "
               f"{report.bias_aligned_acc:.2f} unbiased {report.unbiased_acc:.2f}")
 
     config = {**asdict(cfg), "mode": args.mode, "label_fraction": args.label_fraction}
-    return _run_training(args, cfg, "debias", config,
-                         ("data", "biased_ckpt", "main_ckpt", "test"), train, save)
+    inputs = {"data": args.data, "biased_ckpt": args.biased_ckpt,
+              "main_ckpt": args.main_ckpt, "test": args.test}
+    return _run(args.out, "debias", config, cfg.seed, inputs, work)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -352,27 +364,23 @@ def cmd_debias(args) -> int:
 def cmd_spectrum(args) -> int:
     encoder, _ = _load_encoder(args.ckpt)
     ds = _load_dataset(args.data)
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    clock = start_clock()
-    reps = apply(encoder, ds.inputs)
-    values = svd_values(reps)
-    spectrum = normalized_spectrum(values)
-    rank = effective_rank(values)
-    corr = auto_correlation(reps)
-    order = cluster_reorder(corr)
-    write_matrix_csv(out / "spectrum.csv", spectrum[:, None])
-    write_matrix_csv(out / "correlation.csv", corr[np.ix_(order, order)])
-    _write_csv(out / "order.csv", ["feature"], [[int(i)] for i in order])
-    _write_json(out / "report.json", {"effective_rank": rank,
-                                      "n": len(ds), "dim": int(reps.shape[1])})
-    manifest = _manifest_for("spectrum", {},
-                             {"ckpt": args.ckpt, "data": args.data},
-                             0, finish_clock(clock))
-    write_manifest(out, manifest)
-    print(f"effective_rank {rank:.17g}")
-    print(f"wrote spectrum.csv, correlation.csv, order.csv to {out}")
-    return 0
+
+    def work(stage, manifest_hash):
+        reps = apply(encoder, ds.inputs)
+        values = svd_values(reps)
+        spectrum = normalized_spectrum(values)
+        rank = effective_rank(values)
+        corr = auto_correlation(reps)
+        order = cluster_reorder(corr)
+        write_matrix_csv(stage / "spectrum.csv", spectrum[:, None])
+        write_matrix_csv(stage / "correlation.csv", corr[np.ix_(order, order)])
+        _write_csv(stage / "order.csv", ["feature"], [[int(i)] for i in order])
+        write_json(stage / "report.json", {"effective_rank": rank,
+                                           "n": len(ds), "dim": int(reps.shape[1])})
+        print(f"effective_rank {rank:.17g}")
+        print(f"wrote spectrum.csv, correlation.csv, order.csv to {args.out}")
+
+    return _run(args.out, "spectrum", {}, 0, {"ckpt": args.ckpt, "data": args.data}, work)
 
 
 # ------------------------------------------------------------------- sweep
@@ -474,42 +482,38 @@ def cmd_sweep(args) -> int:
         [float(x) for x in spec.get("tau", [base.tau])],
         [int(x) for x in spec.get("seed", [base.seed])],
     ]
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    clock = start_clock()
 
-    rows = []
-    failures = 0
-    for r, lam, lam_up, tau, seed in itertools.product(*grids):
-        job_desc = {"family": family, "n": n, "classes": classes,
-                    "test_n": test_n, "r": r, "lambda_reg": lam,
-                    "lambda_up": lam_up, "tau": tau, "seed": seed}
-        config_hash = RunManifest("sweep-job", job_desc, {}, seed).content_hash()[:16]
-        row = {"config_hash": config_hash, "r": r, "lambda_reg": lam,
-               "lambda_up": lam_up, "tau": tau, "seed": seed,
-               "conflict_acc": "", "aligned_acc": "", "unbiased_acc": "",
-               "eff_rank": "", "precision": "", "recall": "", "status": "ok"}
-        try:
-            row.update(_sweep_job(family, base, n, classes, test_n,
-                                  r, lam, lam_up, tau, seed))
-        except (TrainingDiverged, ValueError, FloatingPointError) as exc:
-            # a diverged or rejected job is a row; any other error is a bug
-            text = str(exc).replace(",", ";").replace("\n", " ")
-            row["status"] = f"error: {text}"
-            failures += 1
-        rows.append(row)
-        print(f"[{row['status']}] r={r} lambda_reg={lam} lambda_up={lam_up} "
-              f"tau={tau} seed={seed}", flush=True)
+    def work(stage, manifest_hash):
+        rows = []
+        failures = 0
+        for r, lam, lam_up, tau, seed in itertools.product(*grids):
+            job_desc = {"family": family, "n": n, "classes": classes,
+                        "test_n": test_n, "r": r, "lambda_reg": lam,
+                        "lambda_up": lam_up, "tau": tau, "seed": seed}
+            config_hash = RunManifest("sweep-job", job_desc, {}, seed).content_hash()[:16]
+            row = {"config_hash": config_hash, "r": r, "lambda_reg": lam,
+                   "lambda_up": lam_up, "tau": tau, "seed": seed,
+                   "conflict_acc": "", "aligned_acc": "", "unbiased_acc": "",
+                   "eff_rank": "", "precision": "", "recall": "", "status": "ok"}
+            try:
+                row.update(_sweep_job(family, base, n, classes, test_n,
+                                      r, lam, lam_up, tau, seed))
+            except (TrainingDiverged, ValueError, FloatingPointError) as exc:
+                # a diverged or rejected job is a row; any other error is a bug
+                text = str(exc).replace(",", ";").replace("\n", " ")
+                row["status"] = f"error: {text}"
+                failures += 1
+            rows.append(row)
+            print(f"[{row['status']}] r={r} lambda_reg={lam} lambda_up={lam_up} "
+                  f"tau={tau} seed={seed}", flush=True)
 
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS,
-               [[row[c] for c in SWEEP_COLUMNS] for row in rows])
-    selection = {"family": family, **_select_config(rows)}
-    _write_json(out / "selection.json", selection)
-    manifest = _manifest_for("sweep", spec, {"spec": str(spec_path)},
-                             base.seed, finish_clock(clock))
-    write_manifest(out, manifest)
-    print(f"wrote {len(rows)} rows to {out / 'sweep.csv'} ({failures} failed)")
-    return 1 if failures else 0
+        _write_csv(stage / "sweep.csv", SWEEP_COLUMNS,
+                   [[row[c] for c in SWEEP_COLUMNS] for row in rows])
+        write_json(stage / "selection.json", {"family": family, **_select_config(rows)})
+        print(f"wrote {len(rows)} rows to {args.out / 'sweep.csv'} ({failures} failed)")
+        return 1 if failures else 0
+
+    return _run(args.out, "sweep", spec, base.seed, {"spec": args.spec}, work)
 
 
 # -------------------------------------------------------------------- main
@@ -531,20 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--noise", type=float, default=0.05)
     p_gen.add_argument("--input-dim", type=int, default=None)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--out", required=True)
+    p_gen.add_argument("--out", required=True, type=_resolve_out)
     p_gen.set_defaults(func=cmd_data)
     p_cm = data_sub.add_parser("cmnist", help="color-MNIST from IDX files")
     p_cm.add_argument("--images", required=True)
     p_cm.add_argument("--labels", required=True)
     p_cm.add_argument("--bias-ratio", type=float, default=0.99)
     p_cm.add_argument("--seed", type=int, default=0)
-    p_cm.add_argument("--out", required=True)
+    p_cm.add_argument("--out", required=True, type=_resolve_out)
     p_cm.set_defaults(func=cmd_data)
 
     p_pre = sub.add_parser("pretrain", help="stage-1 contrastive pretraining")
     p_pre.add_argument("--data", required=True)
     p_pre.add_argument("--role", choices=["biased", "main"], required=True)
-    p_pre.add_argument("--out", required=True)
+    p_pre.add_argument("--out", required=True, type=_resolve_out)
     _add_config_flags(p_pre)
     p_pre.set_defaults(func=cmd_pretrain)
 
@@ -552,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_erm.add_argument("--data", required=True)
     p_erm.add_argument("--test", default=None)
     p_erm.add_argument("--target", choices=["y", "b"], default="y")
-    p_erm.add_argument("--out", required=True)
+    p_erm.add_argument("--out", required=True, type=_resolve_out)
     _add_config_flags(p_erm)
     p_erm.set_defaults(func=cmd_erm)
 
@@ -564,19 +568,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_deb.add_argument("--mode", choices=["linear-eval", "semisup"],
                        default="linear-eval")
     p_deb.add_argument("--label-fraction", type=float, default=1.0)
-    p_deb.add_argument("--out", required=True)
+    p_deb.add_argument("--out", required=True, type=_resolve_out)
     _add_config_flags(p_deb)
     p_deb.set_defaults(func=cmd_debias)
 
     p_spec = sub.add_parser("spectrum", help="spectral diagnostics of a checkpoint")
     p_spec.add_argument("--ckpt", required=True)
     p_spec.add_argument("--data", required=True)
-    p_spec.add_argument("--out", required=True)
+    p_spec.add_argument("--out", required=True, type=_resolve_out)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_sw = sub.add_parser("sweep", help="cross-product experiment sweep")
     p_sw.add_argument("--spec", required=True)
-    p_sw.add_argument("--out", required=True)
+    p_sw.add_argument("--out", required=True, type=_resolve_out)
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .manifest import write_json
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -105,9 +107,7 @@ class BiasedDataset:
             "n": len(self),
             "input_dim": self.input_dim,
         })
-        with open(directory / "meta.json", "w") as f:
-            json.dump(meta, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(directory / "meta.json", meta)
 
     @classmethod
     def load(cls, directory) -> "BiasedDataset":

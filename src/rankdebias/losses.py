@@ -127,6 +127,19 @@ def nt_xent(embeddings, tau: float) -> tuple[float, np.ndarray]:
     return loss, dZ
 
 
+def rank_penalty(rep, lambda_reg: float) -> tuple[float, np.ndarray | None]:
+    """The rank penalty on encoder outputs rep: (rank_loss(rep), lambda_reg
+    * rank_loss_grad(rep)); the caller adds lambda_reg times the first to
+    its loss. (0.0, None) when lambda_reg is 0. With the penalty on, a
+    non-finite rep (a diverged encoder) gives (nan, None), so the loss
+    turns NaN and the caller's finite-loss check stops the run."""
+    if lambda_reg <= 0:
+        return 0.0, None
+    if not np.all(np.isfinite(rep)):
+        return np.nan, None
+    return rank_loss(rep), lambda_reg * rank_loss_grad(rep)
+
+
 def stage1_loss(views_out, proj_out, tau: float, lambda_reg: float):
     """Pretraining objective: contrastive loss on projections plus the rank
     penalty applied directly to the encoder outputs.
@@ -147,11 +160,7 @@ def stage1_loss(views_out, proj_out, tau: float, lambda_reg: float):
     if lambda_reg < 0:
         raise ValueError(f"lambda_reg must be >= 0, got {lambda_reg}")
     loss, grad_proj = nt_xent(proj_out, tau)
-    if lambda_reg > 0 and not np.all(np.isfinite(views_out)):
-        loss, grad_views = np.nan, np.zeros_like(views_out)
-    elif lambda_reg > 0:
-        loss += lambda_reg * rank_loss(views_out)
-        grad_views = lambda_reg * rank_loss_grad(views_out)
-    else:
+    penalty, grad_views = rank_penalty(views_out, lambda_reg)
+    if grad_views is None:
         grad_views = np.zeros_like(views_out)
-    return loss, grad_views, grad_proj
+    return loss + lambda_reg * penalty, grad_views, grad_proj

@@ -17,6 +17,8 @@ from pathlib import Path
 from . import __version__
 
 MANIFEST_NAME = "manifest.json"
+# a run stages its artifacts in a directory of this prefix inside --out
+STAGE_PREFIX = ".stage-"
 HASH_CHUNK_BYTES = 1 << 20
 
 
@@ -37,12 +39,14 @@ def hash_path(path) -> str:
     """Content hash of a file, or of a directory tree (file names plus
     their hashes, in sorted order). A directory's manifest.json files are
     skipped: they carry wall-clock time, and the files they describe are
-    hashed anyway, so regenerating the same tree gives the same hash."""
+    hashed anyway, so regenerating the same tree gives the same hash. So is
+    a staging directory that an interrupted run left behind."""
     path = Path(path)
     if path.is_dir():
         digest = hashlib.sha256()
         for child in sorted(p for p in path.rglob("*")
-                            if p.is_file() and p.name != MANIFEST_NAME):
+                            if p.is_file() and p.name != MANIFEST_NAME
+                            and not p.relative_to(path).parts[0].startswith(STAGE_PREFIX)):
             digest.update(str(child.relative_to(path)).encode())
             digest.update(_hash_file(child).encode())
         return digest.hexdigest()
@@ -95,11 +99,15 @@ def finish_clock(clock: dict) -> dict:
     return clock
 
 
+def write_json(path, payload: dict) -> None:
+    """The one JSON layout of every artifact: indent 2, sorted keys and a
+    trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(out_dir, manifest: RunManifest) -> None:
     """Write manifest.json into out_dir. Artifacts that reference the run
     carry manifest.content_hash(), so the manifest can be written last."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / MANIFEST_NAME, "w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(out_dir) / MANIFEST_NAME, manifest.to_dict())

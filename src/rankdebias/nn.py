@@ -12,11 +12,14 @@ can be checked against finite differences.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .manifest import write_json
 
 CHECKPOINT_MAGIC = b"DFND"
 CHECKPOINT_VERSION = 1
@@ -24,6 +27,15 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+def _flat_size(layer_dims: list[int]) -> int:
+    """Length of the flat parameter vector of a net with these layer dims,
+    which need at least two entries, all positive."""
+    if len(layer_dims) < 2 or any(x <= 0 for x in layer_dims):
+        raise ValueError(f"layer_dims needs >= 2 positive entries, got {layer_dims}")
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
 
 
 @dataclass
@@ -42,10 +54,7 @@ class DenseNet:
 
     def __post_init__(self):
         dims = self.layer_dims = [int(x) for x in self.layer_dims]
-        if len(dims) < 2 or any(x <= 0 for x in dims):
-            raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
-        layers = list(zip(dims[:-1], dims[1:]))
-        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
+        size = _flat_size(dims)
         flat = self.flat = (np.zeros(size) if self.flat is None
                             else np.ascontiguousarray(self.flat, dtype=np.float64))
         if flat.shape != (size,):
@@ -53,7 +62,7 @@ class DenseNet:
                              f"got {flat.shape}")
         self.weights, self.biases = [], []
         start = 0
-        for fan_in, fan_out in layers:
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             stop = start + fan_in * fan_out
             self.weights.append(flat[start:stop].reshape(fan_in, fan_out))
             self.biases.append(flat[stop:stop + fan_out])
@@ -79,9 +88,6 @@ class DenseNet:
     def params(self) -> list[np.ndarray]:
         """Views into flat, alternating weight and bias per layer."""
         return [p for layer in zip(self.weights, self.biases) for p in layer]
-
-    def num_params(self) -> int:
-        return self.flat.size
 
     def copy(self) -> "DenseNet":
         return DenseNet(list(self.layer_dims), self.flat.copy())
@@ -245,10 +251,7 @@ def save_checkpoint(path, net: DenseNet, config: dict | None = None) -> None:
         f.write(struct.pack("<I", len(dims)))
         f.write(struct.pack(f"<{len(dims)}I", *dims))
         f.write(net.flat.astype("<f8").tobytes())
-    sidecar = {"layer_dims": dims, "config": config or {}}
-    with open(str(path) + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(str(path) + ".json", {"layer_dims": dims, "config": config or {}})
 
 
 def load_checkpoint(path) -> tuple[DenseNet, dict]:
@@ -257,10 +260,12 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
     with open(path, "rb") as f:
 
         def read(size: int) -> bytes:
-            data = f.read(size)
-            if len(data) != size:
-                raise ValueError(f"{path}: truncated, {len(data)} of {size} bytes left")
-            return data
+            # checked before reading, so a corrupt header never allocates
+            # more than the file holds
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if size > left:
+                raise ValueError(f"{path}: truncated, {left} of {size} bytes left")
+            return f.read(size)
 
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -271,10 +276,10 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
         (ndims,) = struct.unpack("<I", read(4))
         dims = list(struct.unpack(f"<{ndims}I", read(4 * ndims)))
         try:
-            net = DenseNet(dims)
+            size = _flat_size(dims)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        net.flat[:] = np.frombuffer(read(8 * net.num_params()), dtype="<f8")
+        net = DenseNet(dims, np.frombuffer(read(8 * size), dtype="<f8").astype(np.float64))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import BiasedDataset, augment_image_batch, augment_vector_batch, split
-from .losses import UpweightSpec, cross_entropy, debias_loss, stage1_loss
+from .losses import UpweightSpec, cross_entropy, debias_loss, rank_penalty, stage1_loss
 from .nn import (
     AdamState,
     DenseNet,
@@ -37,7 +37,7 @@ from .nn import (
     make_linear_head,
     sgd_momentum_step,
 )
-from .spectral import effective_rank, rank_loss, rank_loss_grad, svd_values
+from .spectral import effective_rank, svd_values
 
 RANK_EVAL_BATCH = 256
 
@@ -76,7 +76,6 @@ class ExperimentConfig:
     finetune_weight_decay: float = 0.1
     seed: int = 0
     modality: str = "vector"
-    dataset: str = ""
 
     def __post_init__(self):
         for name, low in (("lambda_reg", 0), ("lambda_up", 1), ("epochs", 1),
@@ -343,14 +342,8 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     def objective(idx, outs):
         rep, logits = outs
         ce, dlogits = cross_entropy(logits, labels[idx])
-        if lam > 0 and not np.all(np.isfinite(rep)):
-            # a diverged encoder: the NaN loss stops _fit before rank_loss sees it
-            return np.nan, {}, dlogits, None
-        if lam > 0:
-            penalty = rank_loss(rep)
-            return (ce + lam * penalty, {"ce": ce, "rank_term": penalty}, dlogits,
-                    lam * rank_loss_grad(rep))
-        return ce, {"ce": ce, "rank_term": 0.0}, dlogits, None
+        penalty, grad_rep = rank_penalty(rep, lam)
+        return ce + lam * penalty, {"ce": ce, "rank_term": penalty}, dlogits, grad_rep
 
     def epoch_row(epoch, step, sums, count):
         return {
@@ -434,7 +427,7 @@ def pretrain_main(ds: BiasedDataset, cfg: ExperimentConfig
 def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
                 cfg: ExperimentConfig, rng_name: str,
                 error_indices: np.ndarray | None = None,
-                lambda_up: float = 1.0, iters: int | None = None) -> DenseNet:
+                lambda_up: float = 1.0) -> DenseNet:
     """Train a linear head on frozen representations by minibatch Adam on
     i.i.d. batch draws, run as a single epoch.
 
@@ -446,8 +439,7 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
         raise ValueError("cannot train a head on an empty labeled set")
     head = make_linear_head(reps.shape[1], classes, stream(cfg.seed, rng_name + "-init"))
     rng = stream(cfg.seed, rng_name + "-batches")
-    steps = cfg.head_iters if iters is None else iters
-    draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(steps))
+    draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(cfg.head_iters))
     _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_indices, lambda_up),
          _Optimizer(lambda step: cfg.head_lr), "head training")
     return head

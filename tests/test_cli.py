@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line layer: artifact layout, exit
 codes, rerun byte-identity, and the flag/config/default precedence."""
 
+import errno
 import json
+import os
 import struct
 
 import numpy as np
@@ -143,6 +145,74 @@ def test_manifest_is_written_after_the_artifacts(ws, tmp_path, monkeypatch):
         run(["pretrain", "--data", ws / "ds", "--role", "main",
              "--out", tmp_path / "p", *NET])
     assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+def snapshot(directory):
+    assert not list(directory.glob(".stage-*"))  # no staging directory left
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_diverged_rerun_leaves_its_partial_log_and_no_manifest(ws, tmp_path, capsys):
+    out = tmp_path / "p"
+    pretrain = ["pretrain", "--data", ws / "ds", "--role", "main", "--out", out, *NET]
+    assert run(pretrain) == 0
+    first_log = snapshot(out)["train_log.csv"]
+    assert run([*pretrain, "--base-lr", 1e150]) == 1
+    assert "diverged" in capsys.readouterr().err
+    after = snapshot(out)
+    assert "manifest.json" not in after
+    assert after["train_log.csv"] != first_log
+
+
+def test_failed_rerun_leaves_a_completed_out_byte_identical(ws, tmp_path, monkeypatch):
+    out = tmp_path / "p"
+    pretrain = ["pretrain", "--data", ws / "ds", "--role", "main", "--out", out, *NET]
+    assert run(pretrain) == 0
+    before = snapshot(out)
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_csv", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run([*pretrain, "--seed", 6])
+    assert snapshot(out) == before
+
+
+def test_failed_commit_leaves_a_completed_out_byte_identical(ws, tmp_path, monkeypatch):
+    # as when the staging directory sits on another filesystem than --out
+    out = tmp_path / "p"
+    pretrain = ["pretrain", "--data", ws / "ds", "--role", "main", "--out", out, *NET]
+    assert run(pretrain) == 0
+    before = snapshot(out)
+
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), str(src))
+
+    monkeypatch.setattr(os, "replace", cross_device)
+    with pytest.raises(OSError) as info:
+        run([*pretrain, "--seed", 6])
+    assert info.value.errno == errno.EXDEV
+    assert snapshot(out) == before
+
+
+def test_run_stages_inside_out_and_leaves_its_parent_alone(ws, tmp_path, monkeypatch):
+    # so --out may be a mount point, or sit in a directory it cannot write
+    parent = tmp_path / "ro"
+    parent.mkdir()
+    out = parent / "p"
+    made = []
+    mkdtemp = cli.tempfile.mkdtemp
+
+    def record(*args, **kwargs):
+        made.append(kwargs["dir"])
+        return mkdtemp(*args, **kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "mkdtemp", record)
+    assert run(["pretrain", "--data", ws / "ds", "--role", "main", "--out", out, *NET]) == 0
+    assert made == [out]
+    assert sorted(p.name for p in parent.iterdir()) == ["p"]
+    assert "manifest.json" in snapshot(out)
 
 
 def test_sidecar_is_identical_across_dataset_regeneration(tmp_path):

@@ -3,6 +3,7 @@ and the binary checkpoint format."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_init_shapes_and_param_count():
     net = DenseNet.init([4, 8, 3], np.random.default_rng(0))
     assert [W.shape for W in net.weights] == [(4, 8), (8, 3)]
     assert [b.shape for b in net.biases] == [(8,), (3,)]
-    assert net.num_params() == 4 * 8 + 8 + 8 * 3 + 3
+    assert net.flat.size == 4 * 8 + 8 + 8 * 3 + 3
     assert net.in_dim == 4 and net.out_dim == 3
 
 
@@ -501,6 +502,23 @@ def test_checkpoint_degenerate_header_names_path(tmp_path, dims):
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack(f"<II{len(dims)}I", 1, len(dims), *dims))
     with pytest.raises(ValueError, match=r"deg\.ckpt: layer_dims"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header", [
+    struct.pack("<IIII", 1, 2, 100000, 100000) + bytes(4),  # 74.5 GiB of parameters
+    struct.pack("<II", 1, 0xFFFFFFFF),                        # 16 GiB of layer dims
+], ids=["huge-dims", "huge-layer-count"])
+def test_checkpoint_header_larger_than_file_fails_before_allocating(tmp_path, header):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + header)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"huge\.ckpt: truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_checkpoint_missing_sidecar_is_tolerated(tmp_path):
