@@ -105,6 +105,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _config_fields(values, where: str) -> dict:
+    """values, checked to be a JSON object of ExperimentConfig fields."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must hold a JSON object")
+    unknown = set(values) - set(ExperimentConfig.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown config fields in {where}: {sorted(unknown)}")
+    return values
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file and flags, in increasing precedence."""
     values: dict = {}
@@ -112,13 +122,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
-        file_values = json.loads(path.read_text())
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = set(file_values) - set(ExperimentConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        values.update(file_values)
+        values.update(_config_fields(json.loads(path.read_text()), f"config file {path}"))
     for name, _ in _CONFIG_FLAGS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -126,8 +130,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     hidden = getattr(args, "hidden_dims", None)
     if hidden is not None:
         values["hidden_dims"] = tuple(int(x) for x in str(hidden).split(","))
-    elif "hidden_dims" in values:
-        values["hidden_dims"] = tuple(values["hidden_dims"])
     return ExperimentConfig(**values)
 
 
@@ -385,11 +387,22 @@ def cmd_spectrum(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
+# every key a sweep spec may hold; each of r through seed is a grid (a
+# non-empty list)
+SWEEP_KEYS = ("family", "n", "classes", "test_n", "r", "lambda_reg", "lambda_up",
+              "tau", "seed", "config")
 SWEEP_COLUMNS = [
     "config_hash", "r", "lambda_reg", "lambda_up", "tau", "seed",
     "conflict_acc", "aligned_acc", "unbiased_acc", "eff_rank",
     "precision", "recall", "status",
 ]
+
+
+def _integral(value) -> int:
+    """int(value), rejecting a value that int() would change (2.5, "3", True)."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
@@ -468,20 +481,35 @@ def cmd_sweep(args) -> int:
     if not spec_path.exists():
         raise FileNotFoundError(f"sweep spec not found: {spec_path}")
     spec = json.loads(spec_path.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError(f"sweep spec {spec_path} must hold a JSON object")
+    unknown = set(spec) - set(SWEEP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown keys in sweep spec {spec_path}: {sorted(unknown)}")
     family = spec.get("family", "erm")
     if family not in ("erm", "pipeline"):
         raise ValueError(f"unknown sweep family {family!r}")
-    base = ExperimentConfig(**spec.get("config", {}))
-    n = int(spec.get("n", 10000))
-    classes = int(spec.get("classes", 5))
-    test_n = int(spec.get("test_n", 4000))
-    grids = [
-        [float(x) for x in spec.get("r", [0.99])],
-        [float(x) for x in spec.get("lambda_reg", [base.lambda_reg])],
-        [float(x) for x in spec.get("lambda_up", [base.lambda_up])],
-        [float(x) for x in spec.get("tau", [base.tau])],
-        [int(x) for x in spec.get("seed", [base.seed])],
-    ]
+    base = ExperimentConfig(**_config_fields(spec.get("config", {}),
+                                             f"config of sweep spec {spec_path}"))
+
+    def read(key, default, cast, grid=True):
+        value = spec.get(key, default)
+        try:
+            if grid and not (isinstance(value, list) and value):
+                raise TypeError
+            return [cast(x) for x in value] if grid else cast(value)
+        except (TypeError, ValueError):
+            kind = "integers" if cast is _integral else "numbers"
+            what = f"a non-empty list of {kind}" if grid else "an integer"
+            raise ValueError(f"sweep spec {spec_path}: {key} must be {what}, "
+                             f"got {value!r}") from None
+
+    n = read("n", 10000, _integral, grid=False)
+    classes = read("classes", 5, _integral, grid=False)
+    test_n = read("test_n", 4000, _integral, grid=False)
+    grids = [read("r", [0.99], float), read("lambda_reg", [base.lambda_reg], float),
+             read("lambda_up", [base.lambda_up], float), read("tau", [base.tau], float),
+             read("seed", [base.seed], _integral)]
 
     def work(stage, manifest_hash):
         rows = []

@@ -1,8 +1,9 @@
 """Training objectives, each returning the loss together with its exact gradient.
 
-Cross-entropy for classifiers, the temperature-scaled contrastive loss over
-paired views, the combined pretraining loss that adds the rank penalty on
-encoder outputs, and the upweighted loss used for debiased evaluation.
+Cross-entropy for classifiers (optionally with per-sample weights), the
+temperature-scaled contrastive loss over paired views, the combined
+pretraining loss that adds the rank penalty on encoder outputs, and the
+upweighted loss used for debiased evaluation.
 """
 
 from __future__ import annotations
@@ -28,9 +29,21 @@ class UpweightSpec:
         if self.lambda_up <= 0:
             raise ValueError(f"lambda_up must be > 0, got {self.lambda_up}")
 
+    def weights(self, n: int) -> np.ndarray:
+        """Per-sample weights of n samples: lambda_up at error_indices, else 1."""
+        idx = self.error_indices
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"error index out of range for {n} samples")
+        w = np.ones(n)
+        w[idx] = self.lambda_up
+        return w
 
-def _softmax_xent(logits, labels):
-    """Per-sample cross-entropy and softmax probabilities, max-stabilized."""
+
+def cross_entropy(logits, labels, weights=None) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy; gradient is (softmax - onehot) / n.
+    weights (shape (n,)) scale each sample's loss term and gradient row
+    before the division by n; weights of 1 reproduce the unweighted loss
+    bit for bit."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if logits.ndim != 2:
@@ -41,20 +54,19 @@ def _softmax_xent(logits, labels):
     if labels.size and (labels.min() < 0 or labels.max() >= C):
         raise ValueError(f"labels must lie in [0, {C}), got range "
                          f"[{labels.min()}, {labels.max()}]")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
     shifted = logits - logits.max(axis=1, keepdims=True)
     expl = np.exp(shifted)
     Zsum = expl.sum(axis=1)
-    P = expl / Zsum[:, None]
+    grad = expl / Zsum[:, None]
     ell = np.log(Zsum) - shifted[np.arange(n), labels]
-    return ell, P, labels
-
-
-def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy; gradient is (softmax - onehot) / n."""
-    ell, P, labels = _softmax_xent(logits, labels)
-    n = ell.shape[0]
-    grad = P.copy()
     grad[np.arange(n), labels] -= 1.0
+    if weights is not None:
+        ell *= weights
+        grad *= weights[:, None]
     grad /= n
     return float(np.sum(ell) / n), grad
 
@@ -62,23 +74,12 @@ def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
 def debias_loss(logits, labels, spec: UpweightSpec) -> tuple[float, np.ndarray]:
     """Cross-entropy with the samples in spec.error_indices upweighted.
 
-    The upweighted per-sample losses are summed and then divided by the
-    batch size, so lambda_up = 1 (or an empty error set) reproduces plain
-    cross_entropy bit for bit and lambda_up sweeps do not rescale the
-    effective learning rate.
+    Each sample's loss term is weighted by lambda_up (error set) or 1 and
+    the sum is divided by the batch size, so lambda_up = 1 (or an empty
+    error set) reproduces plain cross_entropy bit for bit and lambda_up
+    sweeps do not rescale the effective learning rate.
     """
-    ell, P, labels = _softmax_xent(logits, labels)
-    n = ell.shape[0]
-    idx = spec.error_indices
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"error index out of range for batch of {n}")
-    w = np.ones(n)
-    w[idx] = spec.lambda_up
-    grad = P.copy()
-    grad[np.arange(n), labels] -= 1.0
-    grad = w[:, None] * grad
-    grad /= n
-    return float(np.sum(w * ell) / n), grad
+    return cross_entropy(logits, labels, spec.weights(np.atleast_1d(logits).shape[0]))
 
 
 def nt_xent(embeddings, tau: float) -> tuple[float, np.ndarray]:

@@ -64,28 +64,23 @@ class RunManifest:
     tool_version: str = __version__
     wall_clock: dict = field(default_factory=dict)
 
-    def content_hash(self) -> str:
-        """Hash of the manifest with wall-clock metadata excluded, so the
-        value is identical across reruns of the same command."""
-        body = {
-            "command": self.command,
-            "config": self.config,
-            "input_hashes": self.input_hashes,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
-        return hash_bytes(json.dumps(body, sort_keys=True).encode())
-
-    def to_dict(self) -> dict:
+    def _body(self) -> dict:
         return {
             "command": self.command,
             "config": self.config,
             "input_hashes": self.input_hashes,
             "seed": self.seed,
             "tool_version": self.tool_version,
-            "manifest_hash": self.content_hash(),
-            "wall_clock": self.wall_clock,
         }
+
+    def content_hash(self) -> str:
+        """Hash of the manifest with wall-clock metadata excluded, so the
+        value is identical across reruns of the same command."""
+        return hash_bytes(json.dumps(self._body(), sort_keys=True).encode())
+
+    def to_dict(self) -> dict:
+        return {**self._body(), "manifest_hash": self.content_hash(),
+                "wall_clock": self.wall_clock}
 
 
 def start_clock() -> dict:

@@ -16,14 +16,15 @@ adding a consumer in one stage never shifts the draws of another.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import BiasedDataset, augment_image_batch, augment_vector_batch, split
-from .losses import UpweightSpec, cross_entropy, debias_loss, rank_penalty, stage1_loss
+from .losses import UpweightSpec, cross_entropy, rank_penalty, stage1_loss
 from .nn import (
     AdamState,
     DenseNet,
@@ -49,6 +50,20 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), zlib.crc32(name.encode())])
     )
+
+
+def _check_types(cfg) -> None:
+    """Reject a field value of the wrong type (a string, list or bool
+    where a number belongs), naming the field."""
+    for f in fields(cfg):
+        if f.type == "str":
+            continue
+        value = getattr(cfg, f.name)
+        kind = numbers.Real if f.type == "float" else numbers.Integral
+        items = value if f.type.startswith("tuple") else [value]
+        if (not isinstance(items, (list, tuple))
+                or any(isinstance(v, bool) or not isinstance(v, kind) for v in items)):
+            raise ValueError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
 
 
 @dataclass
@@ -78,6 +93,7 @@ class ExperimentConfig:
     modality: str = "vector"
 
     def __post_init__(self):
+        _check_types(self)
         for name, low in (("lambda_reg", 0), ("lambda_up", 1), ("epochs", 1),
                           ("batch_size", 4), ("base_lr", 0), ("weight_decay", 0),
                           ("latent_dim", 2), ("proj_hidden", 1), ("proj_dim", 1),
@@ -292,14 +308,14 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
 
 def _upweighted(labels: np.ndarray, error_indices: np.ndarray | None,
                 lambda_up: float):
-    """_fit objective: cross-entropy with error_indices upweighted."""
-    err = np.zeros(labels.shape[0], dtype=bool)
-    if error_indices is not None:
-        err[error_indices] = True
+    """_fit objective: cross-entropy with error_indices upweighted. The
+    spec is checked and the per-sample weights built once, before the first
+    step."""
+    spec = UpweightSpec(np.empty(0) if error_indices is None else error_indices, lambda_up)
+    weights = spec.weights(labels.shape[0])
 
     def objective(idx, outs):
-        loss, dlogits = debias_loss(outs[-1], labels[idx],
-                                    UpweightSpec(np.flatnonzero(err[idx]), lambda_up))
+        loss, dlogits = cross_entropy(outs[-1], labels[idx], weights[idx])
         return loss, {}, dlogits, None
 
     return objective

@@ -71,6 +71,20 @@ def normalized_spectrum(spectrum) -> np.ndarray:
     return out
 
 
+def _correlate(Z):
+    """Mean-centered Z, the eps-stabilized squared column norms, their
+    square roots and the normalized gram matrix, diagonal not yet set."""
+    Z = _as_finite_2d(Z, "Z")
+    n = Z.shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 samples to correlate, got n={n}")
+    Zc = Z - Z.mean(axis=0, keepdims=True)
+    gram = Zc.T @ Zc
+    stab = np.diag(gram) + CORR_EPS
+    denom = np.sqrt(stab)
+    return Zc, stab, denom, gram / np.outer(denom, denom)
+
+
 def auto_correlation(Z) -> np.ndarray:
     """Normalized auto-correlation matrix of the mean-centered columns of Z.
 
@@ -79,15 +93,7 @@ def auto_correlation(Z) -> np.ndarray:
     to exactly 1 by convention (including degenerate zero-variance
     columns, whose off-diagonals come out as 0).
     """
-    Z = _as_finite_2d(Z, "Z")
-    n, d = Z.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples to correlate, got n={n}")
-    Zc = Z - Z.mean(axis=0, keepdims=True)
-    gram = Zc.T @ Zc
-    sumsq = np.diag(gram).copy()
-    denom = np.sqrt(sumsq + CORR_EPS)
-    C = gram / np.outer(denom, denom)
+    C = _correlate(Z)[3]
     np.fill_diagonal(C, 1.0)
     return C
 
@@ -111,16 +117,7 @@ def rank_loss_grad(Z) -> np.ndarray:
     mean-centering, so it matches finite differences of rank_loss exactly
     rather than the idealized eps-free formula.
     """
-    Z = _as_finite_2d(Z, "Z")
-    n, d = Z.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples to correlate, got n={n}")
-    Zc = Z - Z.mean(axis=0, keepdims=True)
-    gram = Zc.T @ Zc
-    sumsq = np.diag(gram).copy()
-    stab = sumsq + CORR_EPS
-    denom = np.sqrt(stab)
-    C = gram / np.outer(denom, denom)
+    Zc, stab, denom, C = _correlate(Z)
     np.fill_diagonal(C, 0.0)
 
     # loss = -sum_{i != j} gram_ij^2 / (stab_i * stab_j)

@@ -51,6 +51,7 @@ from rankdebias.spectral import effective_rank, rank_loss, rank_loss_grad, svd_v
 from helpers import central_diff, eig_svd, entropy_rank, rel_err
 
 pytestmark = [
+    pytest.mark.acceptance,
     pytest.mark.filterwarnings("ignore:.*groups are empty"),
     pytest.mark.filterwarnings("ignore:.*lost all samples"),
 ]

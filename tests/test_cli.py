@@ -426,12 +426,34 @@ def test_config_file_and_flag_precedence(ws, tmp_path):
 
 
 def test_config_file_unknown_field_exits_2(ws, tmp_path, capsys):
+    # (command, file contents, text stderr must name)
+    cases = [
+        ("pretrain", {"learning_rate": 0.1}, "learning_rate"),
+        ("pretrain", {"epochs": "3"}, "epochs"),
+        ("pretrain", {"hidden_dims": 16}, "hidden_dims"),
+        ("pretrain", [1, 2], "bad.json"),
+        ("sweep", {"config": {"bogus": 1}}, "bogus"),
+        ("sweep", {"config": {"epochs": "3"}}, "epochs"),
+        ("sweep", [1, 2], "bad.json"),
+        ("sweep", {"r": 0.9}, "r must be a non-empty list"),
+        ("sweep", {"r": []}, "r must be a non-empty list"),
+        ("sweep", {"seed": ["x"]}, "seed must be a non-empty list"),
+        ("sweep", {"n": [100]}, "n must be an integer"),
+        ("sweep", {"classes": 4.9}, "classes must be an integer"),
+        ("sweep", {"seed": [0, 1.5]}, "seed must be a non-empty list"),
+        ("sweep", {"lamda_reg": [0.5]}, "lamda_reg"),
+    ]
     cfg_file = tmp_path / "bad.json"
-    cfg_file.write_text(json.dumps({"learning_rate": 0.1}))
-    rc = run(["pretrain", "--data", ws / "ds", "--role", "main",
-              "--config", cfg_file, "--out", tmp_path / "p"])
-    assert rc == 2
-    assert "learning_rate" in capsys.readouterr().err
+    for command, contents, named in cases:
+        cfg_file.write_text(json.dumps(contents))
+        if command == "pretrain":
+            argv = ["pretrain", "--data", ws / "ds", "--role", "main", "--config", cfg_file]
+        else:
+            argv = ["sweep", "--spec", cfg_file]
+        rc = run([*argv, "--out", tmp_path / "p"])
+        assert rc == 2, contents
+        assert named in capsys.readouterr().err, contents
+        assert not (tmp_path / "p").exists(), contents
 
 
 def test_output_root_env_var(ws, tmp_path, monkeypatch, capsys):

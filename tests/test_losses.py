@@ -56,11 +56,14 @@ def test_cross_entropy_grad_sweep(seed, n, C):
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(n, C)) * 2.0
     labels = rng.integers(0, C, n)
-    _, grad = cross_entropy(logits, labels)
-    fd = central_diff(lambda L: cross_entropy(L, labels)[0], logits)
-    assert rel_err(grad, fd) < 1e-4
-    # shifting all logits of a row leaves softmax unchanged
-    np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-14)
+    for weights in (None, rng.uniform(0.5, 8.0, n)):
+        _, grad = cross_entropy(logits, labels, weights)
+        fd = central_diff(lambda L: cross_entropy(L, labels, weights)[0], logits)
+        assert rel_err(grad, fd) < 1e-4
+        # shifting all logits of a row leaves softmax unchanged; a weight
+        # scales its row, and so the row's rounding error
+        scale = 1.0 if weights is None else weights.max()
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-14 * scale)
 
 
 def test_cross_entropy_rejects_bad_labels():
@@ -70,6 +73,28 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
     with pytest.raises(ValueError):
         cross_entropy(np.zeros((2, 3)), np.array([0]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2), ()])
+def test_cross_entropy_rejects_misshapen_weights(shape):
+    with pytest.raises(ValueError, match="weights"):
+        cross_entropy(np.zeros((2, 3)), np.array([0, 1]), np.ones(shape))
+
+
+def test_weighted_cross_entropy_is_bitwise_debias_loss_on_repeated_rows():
+    # a head step draws batch rows i.i.d., so a row can appear twice; the
+    # per-sample weights of the whole labeled set indexed by the batch must
+    # give what debias_loss gives for the error positions within the batch
+    rng = np.random.default_rng(7)
+    labels, errors, lam = rng.integers(0, 4, 12), np.array([1, 4, 7, 10]), 8.0
+    idx = np.array([4, 0, 4, 7, 3, 3, 11, 1, 4, 9])
+    logits = rng.normal(size=(idx.size, 4)) * 2.0
+    weights = UpweightSpec(errors, lam).weights(labels.size)
+    loss, grad = cross_entropy(logits, labels[idx], weights[idx])
+    spec = UpweightSpec(np.flatnonzero(np.isin(idx, errors)), lam)
+    ref_loss, ref_grad = debias_loss(logits, labels[idx], spec)
+    assert loss == ref_loss
+    np.testing.assert_array_equal(grad, ref_grad)
 
 
 # --------------------------------------------------------------- debias_loss

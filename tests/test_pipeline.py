@@ -6,6 +6,7 @@ deliberately tiny configurations."""
 import numpy as np
 import pytest
 
+from rankdebias import pipeline
 from rankdebias.data import BiasedDataset, GenConfig, gen_colorpoints
 from rankdebias.nn import DenseNet, apply, make_linear_head
 from rankdebias.pipeline import (
@@ -96,10 +97,16 @@ def test_streams_with_different_seeds_differ():
         ("finetune_epochs", -1),
         ("seed", -3),
         ("modality", "audio"),
+        ("epochs", "3"),
+        ("epochs", 40.5),
+        ("lambda_up", "8"),
+        ("seed", True),
+        ("hidden_dims", 16),
+        ("hidden_dims", (16, "16")),
     ],
 )
 def test_config_rejects_bad_values(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
 
 
@@ -278,6 +285,25 @@ def test_debiased_linear_eval_rejects_stale_error_set():
     stale = ErrorSet(np.array([0]), np.zeros(len(ds) - 1, dtype=np.int64))
     with pytest.raises(ValueError, match="error set built for"):
         debiased_linear_eval(enc, ds, stale, 8.0, cfg)
+
+
+def test_upweighted_fits_reject_bad_upweighting_before_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(pipeline, "_fit", refuse)
+    ds = tiny_ds()
+    cfg = tiny_cfg()
+    enc = DenseNet.init([ds.inputs.shape[1], 16, 8], np.random.default_rng(0))
+    model = Model(enc, make_linear_head(8, ds.num_classes, np.random.default_rng(1)))
+    es = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
+    duplicated = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
+    duplicated.indices = np.array([1, 2, 2])
+    for error_set, lam, match in ((es, 0.0, "lambda_up"), (duplicated, 8.0, "unique")):
+        with pytest.raises(ValueError, match=match):
+            debiased_linear_eval(enc, ds, error_set, lam, cfg)
+        with pytest.raises(ValueError, match=match):
+            finetune_semisup(model, ds, error_set, lam, cfg)
 
 
 def test_debiased_linear_eval_reports_error_set_quality():
