@@ -7,6 +7,8 @@ collapses, and the model's training mistakes line up with exactly the
 conflicting samples. That error set is what the debiasing stage upweights.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from rankdebias.data import GenConfig, gen_colorpoints, make_unbiased_testset
@@ -31,7 +33,7 @@ def main():
     print(f"{'lambda_reg':>10} {'conflict':>9} {'aligned':>8} {'eff_rank':>9} "
           f"{'err precision':>14} {'err recall':>11}")
     for lam in (0.0, 0.1, 1.0):
-        model, log = erm_train(ds, cfg, lambda_reg=lam)
+        model, log = erm_train(ds, replace(cfg, lambda_reg=lam))
         report = evaluate(model, test)
         pred = model.predict(ds.inputs)
         errors = ErrorSet(np.flatnonzero(pred != ds.y), pred)

@@ -59,16 +59,18 @@ def main():
               f"precision {p:.1f}%, recall {r:.1f}% of true conflicts")
 
     print("final heads on the frozen main encoder")
-    _, plain = debiased_linear_eval(main_enc, ds, None, 1.0, cfg, test=test)
-    _, upweight = debiased_linear_eval(main_enc, ds, E_main, LAMBDA_UP, cfg, test=test)
-    model, full = debiased_linear_eval(main_enc, ds, E_biased, LAMBDA_UP, cfg, test=test)
+    up_cfg = replace(cfg, lambda_up=LAMBDA_UP)
+    _, plain = debiased_linear_eval(main_enc, ds, None, replace(cfg, lambda_up=1.0),
+                                    test=test)
+    _, upweight = debiased_linear_eval(main_enc, ds, E_main, up_cfg, test=test)
+    model, full = debiased_linear_eval(main_enc, ds, E_biased, up_cfg, test=test)
     for name, rep in (("plain", plain), ("upweight", upweight), ("full", full)):
         print(f"  {name:>8}: conflict {rep.bias_conflict_acc:5.1f}%  "
               f"aligned {rep.bias_aligned_acc:5.1f}%  "
               f"unbiased {rep.unbiased_acc:5.1f}%")
 
     print("optional: finetune the whole model on the upweighted loss")
-    _, tuned = finetune_semisup(model, ds, E_biased, LAMBDA_UP, cfg, test=test)
+    _, tuned = finetune_semisup(model, ds, E_biased, up_cfg, test=test)
     print(f"  finetuned: conflict {tuned.bias_conflict_acc:5.1f}%  "
           f"aligned {tuned.bias_aligned_acc:5.1f}%  "
           f"unbiased {tuned.unbiased_acc:5.1f}%")

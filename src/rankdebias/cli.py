@@ -16,7 +16,11 @@ RANKDEBIAS_OUT environment variable when it is set.
 
 Config precedence: command-line flags override values from --config FILE
 (a JSON object of ExperimentConfig fields), which override the dataclass
-defaults. The effective config is serialized into the manifest.
+defaults. Each ExperimentConfig field has one flag, its name with dashes
+for underscores (--hidden-dims takes comma-separated widths). A value of
+the wrong type, below its field's bound, or not finite (NaN, inf) exits 2
+naming the field, before --out is created. The effective config is
+serialized into the manifest.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .manifest import (
 )
 from .nn import apply, load_checkpoint, save_checkpoint
 from .pipeline import (
+    MODALITIES,
     ErrorSet,
     ExperimentConfig,
     TrainingDiverged,
@@ -76,12 +81,6 @@ from .spectral import (
 
 OUT_ROOT_ENV = "RANKDEBIAS_OUT"
 
-# ExperimentConfig fields exposed as flags, typed by their defaults; flag
-# name is the field name with underscores turned into dashes. hidden_dims
-# has its own comma-separated flag.
-_CONFIG_FLAGS = [(f.name, type(f.default)) for f in fields(ExperimentConfig)
-                 if f.name != "hidden_dims"]
-
 
 def _resolve_out(path: str) -> Path:
     root = os.environ.get(OUT_ROOT_ENV)
@@ -91,18 +90,20 @@ def _resolve_out(path: str) -> Path:
     return p
 
 
+# argparse names a flag's type function in its error message
+def comma_separated_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field, typed by its annotation and
+    named after it with dashes for underscores; --config takes a JSON file
+    of fields."""
     parser.add_argument("--config", help="JSON file of ExperimentConfig fields")
-    for name, typ in _CONFIG_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        if name == "modality":
-            parser.add_argument(flag, choices=["vector", "cmnist-image"], default=None)
-        else:
-            parser.add_argument(flag, type=typ, default=None)
-    parser.add_argument(
-        "--hidden-dims", default=None,
-        help="comma-separated encoder hidden widths, e.g. 256,256",
-    )
+    types = {"int": int, "float": float, "tuple[int, ...]": comma_separated_ints}
+    for f in fields(ExperimentConfig):
+        kind = {"choices": MODALITIES} if f.type == "str" else {"type": types[f.type]}
+        parser.add_argument("--" + f.name.replace("_", "-"), default=None, **kind)
 
 
 def _config_fields(values, where: str) -> dict:
@@ -123,13 +124,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         values.update(_config_fields(json.loads(path.read_text()), f"config file {path}"))
-    for name, _ in _CONFIG_FLAGS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    hidden = getattr(args, "hidden_dims", None)
-    if hidden is not None:
-        values["hidden_dims"] = tuple(int(x) for x in str(hidden).split(","))
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
     return ExperimentConfig(**values)
 
 
@@ -338,11 +335,9 @@ def cmd_debias(args) -> int:
         else:
             labeled = ds
         error_set = identify_error_set(biased_enc, labeled, cfg)
-        model, report = debiased_linear_eval(main_enc, labeled, error_set,
-                                             cfg.lambda_up, cfg, test=test)
+        model, report = debiased_linear_eval(main_enc, labeled, error_set, cfg, test=test)
         if args.mode == "semisup":
-            model, report = finetune_semisup(model, labeled, error_set,
-                                             cfg.lambda_up, cfg, test=test)
+            model, report = finetune_semisup(model, labeled, error_set, cfg, test=test)
             save_checkpoint(stage / "encoder_finetuned.ckpt", model.encoder, sidecar)
         _write_error_set(stage / "error_set.csv", error_set)
         save_checkpoint(stage / "head.ckpt", model.head, sidecar)
@@ -431,7 +426,7 @@ def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
         biased_enc, _ = pretrain_biased(ds, cfg)
         main_enc, _ = pretrain_biased(ds, replace(cfg, lambda_reg=0.0))
         es = identify_error_set(biased_enc, ds, cfg)
-        _, report = debiased_linear_eval(main_enc, ds, es, lam_up, cfg, test=test)
+        _, report = debiased_linear_eval(main_enc, ds, es, cfg, test=test)
         precision, recall = report.precision, report.recall
     return {
         "conflict_acc": report.bias_conflict_acc,

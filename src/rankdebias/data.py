@@ -11,9 +11,11 @@ of samples whose bias agrees with the spuriously associated class.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,27 @@ class BiasedDataset:
                    meta.pop("num_bias_classes"), meta)
 
 
+def check_fields(cfg, lowest: dict) -> None:
+    """Check every field of the config dataclass cfg against its annotation,
+    naming the field: int, float and tuple[int, ...] fields must hold
+    numbers of that kind (never a bool or a string), floats must be
+    finite, and a field named in lowest must be at least that value (each
+    item of a tuple)."""
+    for f in fields(cfg):
+        if f.type == "str":
+            continue
+        value = getattr(cfg, f.name)
+        kind = numbers.Real if f.type == "float" else numbers.Integral
+        items = value if f.type.startswith("tuple") else [value]
+        if (not isinstance(items, (list, tuple))
+                or any(isinstance(v, bool) or not isinstance(v, kind) for v in items)):
+            raise ValueError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
+        if not all(-math.inf < v < math.inf for v in items):  # NaN fails too
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        if any(v < lowest.get(f.name, -math.inf) for v in items):
+            raise ValueError(f"{f.name} must be >= {lowest[f.name]}, got {value}")
+
+
 @dataclass
 class GenConfig:
     """Knobs for the synthetic color-points generator."""
@@ -133,8 +156,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
+        check_fields(self, {"n": 1, "classes": 2, "seed": 0})
         if not 0.0 < self.bias_ratio <= 1.0:
             raise ValueError(f"bias_ratio must be in (0, 1], got {self.bias_ratio}")
         if self.input_dim < 2 + self.classes:

@@ -16,14 +16,13 @@ adding a consumer in one stage never shifts the draws of another.
 
 from __future__ import annotations
 
-import numbers
 import zlib
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import BiasedDataset, augment_image_batch, augment_vector_batch, split
+from .data import BiasedDataset, augment_image_batch, augment_vector_batch, check_fields, split
 from .losses import UpweightSpec, cross_entropy, rank_penalty, stage1_loss
 from .nn import (
     AdamState,
@@ -41,6 +40,7 @@ from .nn import (
 from .spectral import effective_rank, svd_values
 
 RANK_EVAL_BATCH = 256
+MODALITIES = ("vector", "cmnist-image")
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -50,20 +50,6 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), zlib.crc32(name.encode())])
     )
-
-
-def _check_types(cfg) -> None:
-    """Reject a field value of the wrong type (a string, list or bool
-    where a number belongs), naming the field."""
-    for f in fields(cfg):
-        if f.type == "str":
-            continue
-        value = getattr(cfg, f.name)
-        kind = numbers.Real if f.type == "float" else numbers.Integral
-        items = value if f.type.startswith("tuple") else [value]
-        if (not isinstance(items, (list, tuple))
-                or any(isinstance(v, bool) or not isinstance(v, kind) for v in items)):
-            raise ValueError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
 
 
 @dataclass
@@ -93,27 +79,20 @@ class ExperimentConfig:
     modality: str = "vector"
 
     def __post_init__(self):
-        _check_types(self)
-        for name, low in (("lambda_reg", 0), ("lambda_up", 1), ("epochs", 1),
-                          ("batch_size", 4), ("base_lr", 0), ("weight_decay", 0),
-                          ("latent_dim", 2), ("proj_hidden", 1), ("proj_dim", 1),
-                          ("head_iters", 1), ("head_lr", 0), ("finetune_epochs", 0),
-                          ("finetune_lr", 0), ("finetune_weight_decay", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self, {
+            "lambda_reg": 0, "lambda_up": 1, "epochs": 1, "batch_size": 4, "base_lr": 0,
+            "warmup_epochs": 0, "weight_decay": 0, "latent_dim": 2, "hidden_dims": 1,
+            "proj_hidden": 1, "proj_dim": 1, "head_iters": 1, "head_lr": 0,
+            "finetune_epochs": 0, "finetune_lr": 0, "finetune_momentum": 0,
+            "finetune_weight_decay": 0, "seed": 0})
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ValueError(
-                f"need 0 <= warmup_epochs < epochs, got {self.warmup_epochs}, {self.epochs}"
-            )
-        if not 0 <= self.finetune_momentum < 1:
-            raise ValueError(
-                f"finetune_momentum must be in [0, 1), got {self.finetune_momentum}"
-            )
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden widths must be >= 1, got {self.hidden_dims}")
-        if self.modality not in ("vector", "cmnist-image"):
+        if self.warmup_epochs >= self.epochs:
+            raise ValueError(f"warmup_epochs must be < epochs, got {self.warmup_epochs}, "
+                             f"{self.epochs}")
+        if self.finetune_momentum >= 1:
+            raise ValueError(f"finetune_momentum must be < 1, got {self.finetune_momentum}")
+        if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
 
@@ -325,19 +304,16 @@ def _upweighted(labels: np.ndarray, error_indices: np.ndarray | None,
 
 
 def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
-              lambda_reg: float | None = None,
               target: str = "y") -> tuple[Model, list[dict]]:
-    """Supervised training: cross-entropy plus the decorrelation penalty on
-    the representations feeding the head.
+    """Supervised training: cross-entropy plus cfg.lambda_reg times the
+    decorrelation penalty on the representations feeding the head;
+    lambda_reg = 0 is plain training.
 
-    lambda_reg overrides cfg.lambda_reg when given; 0 is plain training.
     target selects which label the classifier learns ("y" or "b", the
     latter for the reversed diagnostic). Returns the model and a per-epoch
     log of loss, penalty share, lr and representation rank.
     """
-    lam = cfg.lambda_reg if lambda_reg is None else float(lambda_reg)
-    if lam < 0:
-        raise ValueError(f"lambda_reg must be >= 0, got {lam}")
+    lam = cfg.lambda_reg
     if target not in ("y", "b"):
         raise ValueError(f"target must be 'y' or 'b', got {target!r}")
     labels = ds.y if target == "y" else ds.b
@@ -442,13 +418,13 @@ def pretrain_main(ds: BiasedDataset, cfg: ExperimentConfig
 
 def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
                 cfg: ExperimentConfig, rng_name: str,
-                error_indices: np.ndarray | None = None,
-                lambda_up: float = 1.0) -> DenseNet:
+                error_indices: np.ndarray | None = None) -> DenseNet:
     """Train a linear head on frozen representations by minibatch Adam on
     i.i.d. batch draws, run as a single epoch.
 
-    With error_indices set, those samples are upweighted by lambda_up;
-    lambda_up = 1 reduces to plain cross-entropy bit for bit.
+    With error_indices set, those samples are upweighted by cfg.lambda_up;
+    without them, or with lambda_up = 1, the loss is plain cross-entropy
+    bit for bit.
     """
     n = reps.shape[0]
     if n == 0:
@@ -456,7 +432,7 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
     head = make_linear_head(reps.shape[1], classes, stream(cfg.seed, rng_name + "-init"))
     rng = stream(cfg.seed, rng_name + "-batches")
     draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(cfg.head_iters))
-    _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_indices, lambda_up),
+    _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_indices, cfg.lambda_up),
          _Optimizer(lambda step: cfg.head_lr), "head training")
     return head
 
@@ -477,19 +453,19 @@ def identify_error_set(biased_encoder: DenseNet, ds: BiasedDataset,
 
 
 def debiased_linear_eval(main_encoder: DenseNet, ds: BiasedDataset,
-                         error_set: ErrorSet | None, lambda_up: float,
-                         cfg: ExperimentConfig,
+                         error_set: ErrorSet | None, cfg: ExperimentConfig,
                          test: BiasedDataset | None = None
                          ) -> tuple[Model, MetricsReport]:
     """Train the final linear head on the frozen main encoder with the
-    error-set samples upweighted. The encoder is never touched. Metrics are
-    computed on `test` when given, else on the labeled set itself."""
+    error-set samples upweighted by cfg.lambda_up. The encoder is never
+    touched. Metrics are computed on `test` when given, else on the
+    labeled set itself."""
     _check_error_set(error_set, len(ds))
     _check_input_dim(main_encoder, ds.inputs, "debiased_linear_eval")
     reps = apply(main_encoder, ds.inputs)
     indices = error_set.indices if error_set is not None else None
     head = _train_head(reps, ds.y, ds.num_classes, cfg, "debias-head",
-                       error_indices=indices, lambda_up=lambda_up)
+                       error_indices=indices)
     model = Model(main_encoder, head)
     report = evaluate(model, test if test is not None else ds)
     if error_set is not None:
@@ -498,8 +474,7 @@ def debiased_linear_eval(main_encoder: DenseNet, ds: BiasedDataset,
 
 
 def finetune_semisup(model: Model, ds: BiasedDataset,
-                     error_set: ErrorSet | None, lambda_up: float,
-                     cfg: ExperimentConfig,
+                     error_set: ErrorSet | None, cfg: ExperimentConfig,
                      test: BiasedDataset | None = None
                      ) -> tuple[Model, MetricsReport]:
     """Update the whole model (encoder and head) on the labeled set with the
@@ -515,7 +490,7 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
               for _ in range(cfg.finetune_epochs))
     indices = error_set.indices if error_set is not None else None
     _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs,
-         _upweighted(ds.y, indices, lambda_up),
+         _upweighted(ds.y, indices, cfg.lambda_up),
          _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,
                     cfg.finetune_momentum),
          "finetune")
@@ -601,10 +576,11 @@ def rank_trajectory(bias_ratios, make_dataset, make_testset,
     """
     test = make_testset()
     labels = test.y if target == "y" else test.b
+    plain = replace(cfg, lambda_reg=0.0)
     rows = []
     for r in bias_ratios:
         ds = make_dataset(float(r))
-        model, _ = erm_train(ds, cfg, lambda_reg=0.0, target=target)
+        model, _ = erm_train(ds, plain, target=target)
         acc = 100.0 * float(np.mean(model.predict(test.inputs) == labels))
         rows.append({
             "r": float(r),

@@ -227,7 +227,7 @@ def bias_sweep_runs():
     for r in BIAS_RATIOS:
         ds = gen_colorpoints(GenConfig(n=10000, classes=10, bias_ratio=r,
                                        seed=100, input_dim=12))
-        model, _ = erm_train(ds, cfg, lambda_reg=0.0)
+        model, _ = erm_train(ds, replace(cfg, lambda_reg=0.0))
         rows.append({
             "r": r,
             "eff_rank": _representation_rank(model.encoder, test.inputs),
@@ -278,7 +278,7 @@ def penalty_sweep_runs():
                                    seed=100, input_dim=7))
     out = {}
     for lam in PENALTY_GRID:
-        model, _ = erm_train(ds, cfg, lambda_reg=lam)
+        model, _ = erm_train(ds, replace(cfg, lambda_reg=lam))
         report = evaluate(model, test)
         pred = model.predict(ds.inputs)
         errors = ErrorSet(np.flatnonzero(pred != ds.y), pred)
@@ -365,11 +365,11 @@ def pipeline_arm_runs():
         enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=ARM_LAMBDA_B))
         e_main = identify_error_set(enc_main, ds, cfg)
         e_biased = identify_error_set(enc_biased, ds, cfg)
-        _, plain = debiased_linear_eval(enc_main, ds, None, 1.0, cfg, test=test)
-        _, upweight = debiased_linear_eval(enc_main, ds, e_main, ARM_LAMBDA_UP,
-                                           cfg, test=test)
-        _, full = debiased_linear_eval(enc_main, ds, e_biased, ARM_LAMBDA_UP,
-                                       cfg, test=test)
+        up_cfg = replace(cfg, lambda_up=ARM_LAMBDA_UP)
+        _, plain = debiased_linear_eval(enc_main, ds, None, replace(cfg, lambda_up=1.0),
+                                        test=test)
+        _, upweight = debiased_linear_eval(enc_main, ds, e_main, up_cfg, test=test)
+        _, full = debiased_linear_eval(enc_main, ds, e_biased, up_cfg, test=test)
         rows.append((plain.bias_conflict_acc, upweight.bias_conflict_acc,
                      full.bias_conflict_acc))
     return rows
@@ -400,10 +400,9 @@ def semisup_runs():
         enc_main, _ = pretrain_main(ds, cfg)
         enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=SEMI_LAMBDA_B))
         errors = identify_error_set(enc_biased, labeled, cfg)
-        model, _ = debiased_linear_eval(enc_main, labeled, errors,
-                                        SEMI_LAMBDA_UP, cfg, test=test)
-        _, tuned = finetune_semisup(model, labeled, errors, SEMI_LAMBDA_UP,
-                                    cfg, test=test)
+        up_cfg = replace(cfg, lambda_up=SEMI_LAMBDA_UP)
+        model, _ = debiased_linear_eval(enc_main, labeled, errors, up_cfg, test=test)
+        _, tuned = finetune_semisup(model, labeled, errors, up_cfg, test=test)
         scratch_cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
                                        hidden_dims=(256, 256), weight_decay=1e-3,
                                        seed=seed)

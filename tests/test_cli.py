@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_data_gen_layout_and_stdout(ws, capsys):
     assert "group counts" in out
     ds = BiasedDataset.load(ws / "ds2")
     assert len(ds) == 200 and ds.num_classes == 3
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("n", 0), ("n", -3), ("seed", -1), ("noise", "nan"),
+])
+def test_data_gen_bad_value_names_field_and_exits_2(tmp_path, capsys, flag, value):
+    rc = run(["data", "gen", "--n", 50, "--classes", 3, "--" + flag, value,
+              "--out", tmp_path / "d"])
+    assert rc == 2
+    assert f"{flag} must" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_data_cmnist_missing_file_names_path(tmp_path, capsys):
@@ -232,7 +244,7 @@ def test_sidecar_is_identical_across_dataset_regeneration(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("base_lr", -1), ("head_lr", -1), ("finetune_lr", -1), ("finetune_momentum", 5),
     ("finetune_momentum", 1), ("finetune_momentum", -0.5), ("proj_dim", 0),
-    ("proj_hidden", 0),
+    ("proj_hidden", 0), ("tau", float("nan")), ("lambda_up", float("inf")),
 ])
 def test_bad_config_value_names_field_and_exits_2(ws, tmp_path, capsys, field, value):
     with pytest.raises(ValueError, match=field):
@@ -425,15 +437,44 @@ def test_config_file_and_flag_precedence(ws, tmp_path):
     assert len(rows) == 4
 
 
+def test_every_config_field_round_trips_through_its_flag():
+    cfg = ExperimentConfig(
+        lambda_reg=0.25, lambda_up=3.5, tau=0.5, epochs=7, batch_size=16, base_lr=0.002,
+        warmup_epochs=2, weight_decay=0.01, latent_dim=5, hidden_dims=(9, 7, 3),
+        proj_hidden=11, proj_dim=6, head_iters=12, head_lr=0.03, finetune_epochs=4,
+        finetune_lr=0.005, finetune_momentum=0.5, finetune_weight_decay=0.2, seed=13,
+        modality="cmnist-image")
+    flags = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        assert value != getattr(ExperimentConfig(), f.name), f.name
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        flags += ["--" + f.name.replace("_", "-"), text]
+    args = cli.build_parser().parse_args(["erm", "--data", "d", "--out", "o", *flags])
+    assert cli._build_config(args) == cfg
+
+
+@pytest.mark.parametrize("value", ["a,b", ","])
+def test_bad_hidden_dims_names_the_flag_and_exits_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["erm", "--data", tmp_path / "d", "--out", tmp_path / "o",
+             "--hidden-dims", value])
+    assert exc.value.code == 2
+    assert "argument --hidden-dims" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_unknown_field_exits_2(ws, tmp_path, capsys):
     # (command, file contents, text stderr must name)
     cases = [
         ("pretrain", {"learning_rate": 0.1}, "learning_rate"),
         ("pretrain", {"epochs": "3"}, "epochs"),
         ("pretrain", {"hidden_dims": 16}, "hidden_dims"),
+        ("pretrain", {"tau": float("nan")}, "tau"),
         ("pretrain", [1, 2], "bad.json"),
         ("sweep", {"config": {"bogus": 1}}, "bogus"),
         ("sweep", {"config": {"epochs": "3"}}, "epochs"),
+        ("sweep", {"config": {"tau": float("nan")}}, "tau"),
         ("sweep", [1, 2], "bad.json"),
         ("sweep", {"r": 0.9}, "r must be a non-empty list"),
         ("sweep", {"r": []}, "r must be a non-empty list"),

@@ -177,6 +177,9 @@ def test_gen_config_validation():
         GenConfig(n=10, classes=1)
     with pytest.raises(ValueError, match="input_dim"):
         GenConfig(n=10, classes=10, input_dim=8)
+    for field, value in (("n", 0), ("n", -3), ("seed", -1), ("noise", float("nan"))):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            GenConfig(**{"n": 10, field: value})
 
 
 # ---------------------------------------------------------------- IDX + cmnist

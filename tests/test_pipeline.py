@@ -3,6 +3,8 @@ degenerate identities and the metric definitions. Training quality is
 exercised separately by the acceptance suite; everything here runs on
 deliberately tiny configurations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,10 @@ def test_streams_with_different_seeds_differ():
         ("seed", True),
         ("hidden_dims", 16),
         ("hidden_dims", (16, "16")),
+        ("hidden_dims", (16, 0)),
+        ("tau", float("nan")),
+        ("lambda_up", float("inf")),
+        ("base_lr", float("nan")),
     ],
 )
 def test_config_rejects_bad_values(field, value):
@@ -134,8 +140,8 @@ def test_metrics_report_serializes_nan_as_none():
 
 def test_erm_train_is_deterministic():
     ds = tiny_ds()
-    m1, log1 = erm_train(ds, tiny_cfg(), lambda_reg=0.0)
-    m2, log2 = erm_train(ds, tiny_cfg(), lambda_reg=0.0)
+    m1, log1 = erm_train(ds, tiny_cfg())
+    m2, log2 = erm_train(ds, tiny_cfg())
     assert params_equal(m1.encoder.params(), m2.encoder.params())
     assert params_equal(m1.head.params(), m2.head.params())
     assert log1 == log2
@@ -143,20 +149,21 @@ def test_erm_train_is_deterministic():
 
 def test_erm_train_log_shape_and_penalty_share():
     ds = tiny_ds()
-    _, log = erm_train(ds, tiny_cfg(), lambda_reg=0.0)
+    _, log = erm_train(ds, tiny_cfg())
     assert len(log) == 3
     assert all(row["rank_term"] == 0.0 for row in log)
     assert all(
         set(row) == {"epoch", "loss", "ce", "rank_term", "lr", "eff_rank"}
         for row in log
     )
-    _, log_reg = erm_train(ds, tiny_cfg(), lambda_reg=0.1)
+    _, log_reg = erm_train(ds, tiny_cfg(lambda_reg=0.1))
     assert any(row["rank_term"] != 0.0 for row in log_reg)
 
 
 def test_erm_train_lambda_sign_rejected():
-    with pytest.raises(ValueError):
-        erm_train(tiny_ds(), tiny_cfg(), lambda_reg=-1.0)
+    # lambda_reg reaches erm_train only through its config, which refuses it
+    with pytest.raises(ValueError, match="lambda_reg"):
+        erm_train(tiny_ds(), tiny_cfg(lambda_reg=-1.0))
 
 
 def test_erm_train_reversed_target_learns_bias_label():
@@ -164,7 +171,7 @@ def test_erm_train_reversed_target_learns_bias_label():
     # should beat chance by a wide margin
     ds = tiny_ds(n=400, r=0.5)
     model, _ = erm_train(
-        ds, tiny_cfg(epochs=12, base_lr=3e-3), lambda_reg=0.0, target="b"
+        ds, tiny_cfg(epochs=12, base_lr=3e-3), target="b"
     )
     acc = np.mean(model.predict(ds.inputs) == ds.b)
     assert acc > 0.5
@@ -179,7 +186,7 @@ def test_erm_train_divergence_aborts_with_diagnostic():
     # a absurd learning rate overflows the forward pass within a few steps
     ds = tiny_ds()
     with pytest.raises(RuntimeError, match="diverged"):
-        erm_train(ds, tiny_cfg(base_lr=1e150, epochs=2), lambda_reg=0.0)
+        erm_train(ds, tiny_cfg(base_lr=1e150, epochs=2))
 
 
 # -------------------------------------------------------------- pretraining
@@ -261,7 +268,7 @@ def test_debiased_linear_eval_leaves_encoder_untouched():
     enc, _ = pretrain_main(ds, cfg)
     before = [p.copy() for p in enc.params()]
     es = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
-    model, _ = debiased_linear_eval(enc, ds, es, 8.0, cfg)
+    model, _ = debiased_linear_eval(enc, ds, es, cfg)
     assert params_equal(enc.params(), before)
     assert model.encoder is enc
 
@@ -271,9 +278,10 @@ def test_debiased_linear_eval_unit_weight_matches_plain():
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
     empty = ErrorSet(np.array([], dtype=np.int64), np.zeros(len(ds), dtype=np.int64))
-    m_none, _ = debiased_linear_eval(enc, ds, None, 1.0, cfg)
-    m_empty, _ = debiased_linear_eval(enc, ds, empty, 8.0, cfg)
-    m_unit, _ = debiased_linear_eval(enc, ds, identify_error_set(enc, ds, cfg), 1.0, cfg)
+    unit = replace(cfg, lambda_up=1.0)
+    m_none, _ = debiased_linear_eval(enc, ds, None, unit)
+    m_empty, _ = debiased_linear_eval(enc, ds, empty, cfg)
+    m_unit, _ = debiased_linear_eval(enc, ds, identify_error_set(enc, ds, cfg), unit)
     assert params_equal(m_none.head.params(), m_empty.head.params())
     assert params_equal(m_none.head.params(), m_unit.head.params())
 
@@ -284,7 +292,7 @@ def test_debiased_linear_eval_rejects_stale_error_set():
     enc, _ = pretrain_main(ds, cfg)
     stale = ErrorSet(np.array([0]), np.zeros(len(ds) - 1, dtype=np.int64))
     with pytest.raises(ValueError, match="error set built for"):
-        debiased_linear_eval(enc, ds, stale, 8.0, cfg)
+        debiased_linear_eval(enc, ds, stale, cfg)
 
 
 def test_upweighted_fits_reject_bad_upweighting_before_training(monkeypatch):
@@ -294,16 +302,18 @@ def test_upweighted_fits_reject_bad_upweighting_before_training(monkeypatch):
     monkeypatch.setattr(pipeline, "_fit", refuse)
     ds = tiny_ds()
     cfg = tiny_cfg()
+    zero_up = tiny_cfg()
+    zero_up.lambda_up = 0.0  # assigned after construction, past the config's own check
     enc = DenseNet.init([ds.inputs.shape[1], 16, 8], np.random.default_rng(0))
     model = Model(enc, make_linear_head(8, ds.num_classes, np.random.default_rng(1)))
     es = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
     duplicated = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
     duplicated.indices = np.array([1, 2, 2])
-    for error_set, lam, match in ((es, 0.0, "lambda_up"), (duplicated, 8.0, "unique")):
+    for error_set, c, match in ((es, zero_up, "lambda_up"), (duplicated, cfg, "unique")):
         with pytest.raises(ValueError, match=match):
-            debiased_linear_eval(enc, ds, error_set, lam, cfg)
+            debiased_linear_eval(enc, ds, error_set, c)
         with pytest.raises(ValueError, match=match):
-            finetune_semisup(model, ds, error_set, lam, cfg)
+            finetune_semisup(model, ds, error_set, c)
 
 
 def test_debiased_linear_eval_reports_error_set_quality():
@@ -311,7 +321,7 @@ def test_debiased_linear_eval_reports_error_set_quality():
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
     es = identify_error_set(enc, ds, cfg)
-    _, rep = debiased_linear_eval(enc, ds, es, 4.0, cfg)
+    _, rep = debiased_linear_eval(enc, ds, es, replace(cfg, lambda_up=4.0))
     p, r = error_set_quality(es, ds)
     assert (rep.precision == p) or (np.isnan(rep.precision) and np.isnan(p))
     assert rep.recall == r
@@ -324,8 +334,8 @@ def test_finetune_zero_epochs_returns_equal_model():
     ds = tiny_ds()
     cfg = tiny_cfg(finetune_epochs=0)
     enc, _ = pretrain_main(ds, cfg)
-    model, _ = debiased_linear_eval(enc, ds, None, 1.0, cfg)
-    tuned, _ = finetune_semisup(model, ds, None, 1.0, cfg)
+    model, _ = debiased_linear_eval(enc, ds, None, cfg)
+    tuned, _ = finetune_semisup(model, ds, None, cfg)
     assert params_equal(tuned.encoder.params(), model.encoder.params())
     assert params_equal(tuned.head.params(), model.head.params())
     assert tuned.encoder is not model.encoder
@@ -335,11 +345,11 @@ def test_finetune_does_not_mutate_input_model():
     ds = tiny_ds()
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
-    model, _ = debiased_linear_eval(enc, ds, None, 1.0, cfg)
+    model, _ = debiased_linear_eval(enc, ds, None, cfg)
     before_enc = [p.copy() for p in model.encoder.params()]
     before_head = [p.copy() for p in model.head.params()]
     es = identify_error_set(enc, ds, cfg)
-    tuned, _ = finetune_semisup(model, ds, es, 8.0, cfg)
+    tuned, _ = finetune_semisup(model, ds, es, cfg)
     assert params_equal(model.encoder.params(), before_enc)
     assert params_equal(model.head.params(), before_head)
     assert not params_equal(tuned.encoder.params(), before_enc)
@@ -349,9 +359,9 @@ def test_finetune_is_deterministic():
     ds = tiny_ds()
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
-    model, _ = debiased_linear_eval(enc, ds, None, 1.0, cfg)
-    t1, r1 = finetune_semisup(model, ds, None, 2.0, cfg)
-    t2, r2 = finetune_semisup(model, ds, None, 2.0, cfg)
+    model, _ = debiased_linear_eval(enc, ds, None, cfg)
+    t1, r1 = finetune_semisup(model, ds, None, cfg)
+    t2, r2 = finetune_semisup(model, ds, None, cfg)
     assert params_equal(t1.encoder.params(), t2.encoder.params())
     assert r1 == r2
 
@@ -360,10 +370,10 @@ def test_finetune_rejects_stale_error_set():
     ds = tiny_ds()
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
-    model, _ = debiased_linear_eval(enc, ds, None, 1.0, cfg)
+    model, _ = debiased_linear_eval(enc, ds, None, cfg)
     stale = ErrorSet(np.array([0]), np.zeros(len(ds) + 5, dtype=np.int64))
     with pytest.raises(ValueError, match="error set built for"):
-        finetune_semisup(model, ds, stale, 8.0, cfg)
+        finetune_semisup(model, ds, stale, cfg)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -421,7 +431,7 @@ def test_evaluate_bias_only_model_splits_cleanly():
 def test_evaluate_unbiased_acc_is_group_weighted_mean():
     ds = tiny_ds(n=500, r=0.7)
     cfg = tiny_cfg()
-    model, _ = erm_train(ds, cfg, lambda_reg=0.0)
+    model, _ = erm_train(ds, cfg)
     rep = evaluate(model, ds)
     total = sum(g["n"] for g in rep.group_table)
     assert total == len(ds)
