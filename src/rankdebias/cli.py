@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import shutil
 import sys
@@ -40,6 +41,7 @@ import numpy as np
 from .data import (
     BiasedDataset,
     GenConfig,
+    check_bias_ratio,
     cmnist_from_idx,
     gen_colorpoints,
     label_fraction_split,
@@ -229,6 +231,7 @@ def cmd_data(args) -> int:
         for path in (args.images, args.labels):
             if not Path(path).exists():
                 raise FileNotFoundError(f"IDX file not found: {path}")
+        check_bias_ratio(args.bias_ratio)
         inputs = {"images": args.images, "labels": args.labels}
         config = {
             "generator": "cmnist",
@@ -488,13 +491,18 @@ def cmd_sweep(args) -> int:
                                              f"config of sweep spec {spec_path}"))
 
     def read(key, default, cast, grid=True):
+        # checked here, as the spec is written verbatim into the manifest,
+        # where NaN or Infinity would not be valid JSON
         value = spec.get(key, default)
         try:
             if grid and not (isinstance(value, list) and value):
                 raise TypeError
-            return [cast(x) for x in value] if grid else cast(value)
-        except (TypeError, ValueError):
-            kind = "integers" if cast is _integral else "numbers"
+            items = [cast(x) for x in (value if grid else [value])]
+            if not all(math.isfinite(x) for x in items):
+                raise ValueError
+            return items if grid else items[0]
+        except (TypeError, ValueError, OverflowError):
+            kind = "integers" if cast is _integral else "finite numbers"
             what = f"a non-empty list of {kind}" if grid else "an integer"
             raise ValueError(f"sweep spec {spec_path}: {key} must be {what}, "
                              f"got {value!r}") from None

@@ -13,17 +13,21 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .manifest import write_json
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# the file of a saved dataset that holds its inputs
+INPUTS_NAME = "inputs.npy"
 
 # Tint palette for color-MNIST. Every color has a channel equal to 1 so the
 # grayscale digit can be recovered exactly as the per-pixel channel maximum,
@@ -49,7 +53,11 @@ def spurious_map(y):
 
 @dataclass
 class BiasedDataset:
-    """Inputs with target label y, bias label b, and per-sample alignment flag."""
+    """Inputs with target label y, bias label b, and per-sample alignment flag.
+
+    save writes a directory of inputs.npy (the exact float64 inputs),
+    labels.csv and meta.json; load reads it back and checks it.
+    """
 
     inputs: np.ndarray
     y: np.ndarray
@@ -94,10 +102,16 @@ class BiasedDataset:
                              dict(self.meta))
 
     def save(self, directory) -> None:
-        """Persist as inputs.csv, labels.csv (y, b, aligned), meta.json."""
+        """Persist as inputs.npy, labels.csv (y, b, aligned) and meta.json.
+
+        inputs.npy holds the inputs exactly, as a C-ordered little-endian
+        float64 array in the .npy format, so its bytes depend only on the
+        values.
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        np.savetxt(directory / "inputs.csv", self.inputs, delimiter=",", fmt="%.17e")
+        np.save(directory / INPUTS_NAME, np.ascontiguousarray(self.inputs, dtype="<f8"),
+                allow_pickle=False)
         labels = np.column_stack([self.y, self.b, self.aligned.astype(np.int64)])
         np.savetxt(directory / "labels.csv", labels, delimiter=",", fmt="%d",
                    header="y,b,aligned", comments="")
@@ -113,14 +127,50 @@ class BiasedDataset:
 
     @classmethod
     def load(cls, directory) -> "BiasedDataset":
+        """Read a directory written by save. A malformed inputs.npy, or one
+        whose row count differs from labels.csv, raises ValueError naming
+        its path."""
         directory = Path(directory)
-        inputs = np.loadtxt(directory / "inputs.csv", delimiter=",", ndmin=2)
+        inputs = _read_inputs(directory / INPUTS_NAME)
         labels = np.loadtxt(directory / "labels.csv", delimiter=",", skiprows=1,
                             dtype=np.int64, ndmin=2)
+        if inputs.shape[0] != labels.shape[0]:
+            raise ValueError(f"{directory / INPUTS_NAME}: {inputs.shape[0]} rows, "
+                             f"but labels.csv has {labels.shape[0]}")
         meta = json.loads((directory / "meta.json").read_text())
         return cls(inputs, labels[:, 0], labels[:, 1], labels[:, 2].astype(bool),
                    meta.pop("bias_ratio"), meta.pop("num_classes"),
                    meta.pop("num_bias_classes"), meta)
+
+
+def _read_inputs(path: Path) -> np.ndarray:
+    """Read the 2-D little-endian float64 .npy file that save writes.
+
+    The header is checked against the file size before the payload is
+    read, so a corrupt header never allocates more than the file holds.
+    """
+    with open(path, "rb") as f:
+        try:
+            version = npy_format.read_magic(f)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if dtype != np.dtype("<f8") or fortran_order:
+            raise ValueError(f"{path}: need C-ordered little-endian float64, "
+                             f"got {dtype.str}{' in Fortran order' * fortran_order}")
+        if len(shape) != 2 or min(shape) < 0:
+            raise ValueError(f"{path}: need two non-negative dimensions, got shape {shape}")
+        size = 8 * shape[0] * shape[1]
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left != size:
+            raise ValueError(f"{path}: shape {shape} needs {size} payload bytes, "
+                             f"the file holds {left}")
+        inputs = np.empty(shape, dtype="<f8")
+        if f.readinto(inputs) != size:
+            raise ValueError(f"{path}: changed while being read")
+    return inputs
 
 
 def check_fields(cfg, lowest: dict) -> None:
@@ -144,6 +194,12 @@ def check_fields(cfg, lowest: dict) -> None:
             raise ValueError(f"{f.name} must be >= {lowest[f.name]}, got {value}")
 
 
+def check_bias_ratio(bias_ratio: float) -> None:
+    """The aligned fraction of a generated dataset must be in (0, 1]."""
+    if not 0.0 < bias_ratio <= 1.0:
+        raise ValueError(f"bias_ratio must be in (0, 1], got {bias_ratio}")
+
+
 @dataclass
 class GenConfig:
     """Knobs for the synthetic color-points generator."""
@@ -157,8 +213,7 @@ class GenConfig:
 
     def __post_init__(self):
         check_fields(self, {"n": 1, "classes": 2, "seed": 0})
-        if not 0.0 < self.bias_ratio <= 1.0:
-            raise ValueError(f"bias_ratio must be in (0, 1], got {self.bias_ratio}")
+        check_bias_ratio(self.bias_ratio)
         if self.input_dim < 2 + self.classes:
             raise ValueError(
                 f"input_dim must cover 2 arc coords + {self.classes} bias coords"
@@ -329,8 +384,7 @@ def cmnist_from_idx(images_path, labels_path, bias_ratio: float, seed: int = 0) 
     with a uniformly random other class color. Pixels are scaled to [0, 1]
     and each image is flattened to 3 * rows * cols values.
     """
-    if not 0.0 < bias_ratio <= 1.0:
-        raise ValueError(f"bias_ratio must be in (0, 1], got {bias_ratio}")
+    check_bias_ratio(bias_ratio)
     images = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:

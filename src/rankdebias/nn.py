@@ -127,11 +127,14 @@ def apply(net: DenseNet, X) -> np.ndarray:
     return out
 
 
-def backward(net: DenseNet, cache: ForwardCache, output_grad) -> tuple[DenseNet, np.ndarray]:
+def backward(net: DenseNet, cache: ForwardCache, output_grad,
+             out: DenseNet | None = None) -> tuple[DenseNet, np.ndarray]:
     """Reverse-mode gradients for the affine/ReLU stack.
 
     Returns (grads, input_grad): grads is a DenseNet of net's dims holding
-    the parameter gradients, so grads.flat lines up with net.flat. The
+    the parameter gradients, so grads.flat lines up with net.flat. When
+    out is given the gradients are written into it and it is returned as
+    grads, so a training loop can keep one gradient buffer per net. The
     cache must come from a forward pass of this net on the same batch.
     """
     if cache.layer_dims != net.layer_dims:
@@ -143,35 +146,47 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad) -> tuple[DenseNet,
         raise ValueError(
             f"output_grad shape {delta.shape} does not match output {cache.pre[-1].shape}"
         )
-    grads = DenseNet(net.layer_dims, np.empty_like(net.flat))
+    if out is None:
+        out = DenseNet(net.layer_dims, np.empty_like(net.flat))
+    elif out.layer_dims != net.layer_dims:
+        raise ValueError(f"out has dims {out.layer_dims}, net has {net.layer_dims}")
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
             delta = delta * (cache.pre[i] > 0.0)
-        np.matmul(cache.inputs[i].T, delta, out=grads.weights[i])
-        np.sum(delta, axis=0, out=grads.biases[i])
+        np.matmul(cache.inputs[i].T, delta, out=out.weights[i])
+        np.sum(delta, axis=0, out=out.biases[i])
         delta = delta @ net.weights[i].T
-    return grads, delta
+    return out, delta
 
 
 @dataclass
 class AdamState:
+    """Adam moments per parameter array, and two scratch arrays of the
+    same shape each, so that a step allocates nothing."""
+
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]
     step: int = 0
 
     @classmethod
     def init(cls, params) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params],
+                   [(np.empty_like(p), np.empty_like(p)) for p in params])
 
 
 @dataclass
 class MomentumState:
+    """Heavy-ball velocity per parameter array, and one scratch array of
+    the same shape each, so that a step allocates nothing."""
+
     velocity: list[np.ndarray]
+    scratch: list[np.ndarray]
 
     @classmethod
     def init(cls, params) -> "MomentumState":
-        return cls([np.zeros_like(p) for p in params])
+        return cls([np.zeros_like(p) for p in params], [np.empty_like(p) for p in params])
 
 
 def _check_shapes(params, grads, accs) -> None:
@@ -184,30 +199,38 @@ def _check_shapes(params, grads, accs) -> None:
 
 def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
     """One Adam update, in place. weight_decay is a plain l2 penalty folded
-    into the gradient before the moment accumulators see it."""
+    into the gradient before the moment accumulators see it.
+
+    Every operation writes into the state's arrays, in the order of
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is the
+    same to the bit as that expression's."""
     _check_shapes(params, grads, state.m)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        g = g + weight_decay * p if weight_decay else g
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+        if weight_decay:
+            g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
+        update = np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        update /= np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+        p -= update
 
 
 def sgd_momentum_step(params, grads, state: MomentumState, lr: float,
                       momentum: float = 0.9, weight_decay: float = 0.0) -> None:
-    """Heavy-ball SGD update, in place."""
+    """Heavy-ball SGD update, in place, writing into the state's arrays."""
     _check_shapes(params, grads, state.velocity)
-    for p, g, vel in zip(params, grads, state.velocity):
-        g = g + weight_decay * p if weight_decay else g
+    for p, g, vel, a in zip(params, grads, state.velocity, state.scratch):
+        if weight_decay:
+            g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
         vel *= momentum
         vel += g
-        p -= lr * vel
+        p -= np.multiply(lr, vel, out=a)
 
 
 @dataclass

@@ -245,6 +245,9 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     """
     params = [net.flat for net in nets]
     state = (AdamState if opt.momentum is None else MomentumState).init(params)
+    # kept for the whole fit: backward fills them on every step
+    grads = [DenseNet(net.layer_dims) for net in nets]
+    flat_grads = [g.flat for g in grads]
     log: list[dict] = []
     # refilled slot by slot, so each array of the previous step is freed
     # only once its replacement exists; freeing a whole step at once let
@@ -264,12 +267,10 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
                 raise TrainingDiverged(
                     f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
                 )
-            grads = [None] * len(nets)
             for i in reversed(range(len(nets))):
                 if i == 0 and extra is not None:
                     grad = grad + extra
-                grads[i], grad = backward(nets[i], caches[i], grad)
-            flat_grads = [g.flat for g in grads]
+                _, grad = backward(nets[i], caches[i], grad, out=grads[i])
             if opt.momentum is None:
                 adam_step(params, flat_grads, state, opt.lr(step),
                           weight_decay=opt.weight_decay)

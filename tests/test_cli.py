@@ -12,7 +12,7 @@ import pytest
 
 from rankdebias import cli
 from rankdebias.cli import main
-from rankdebias.data import BiasedDataset
+from rankdebias.data import BiasedDataset, write_idx_images, write_idx_labels
 from rankdebias.nn import load_checkpoint
 from rankdebias.pipeline import ExperimentConfig
 from rankdebias.spectral import read_matrix_csv
@@ -56,7 +56,7 @@ def test_data_gen_layout_and_stdout(ws, capsys):
               "--input-dim", 5, "--seed", 1, "--out", ws / "ds2"])
     out = capsys.readouterr().out
     assert rc == 0
-    for name in ("inputs.csv", "labels.csv", "meta.json", "manifest.json"):
+    for name in ("inputs.npy", "labels.csv", "meta.json", "manifest.json"):
         assert (ws / "ds2" / name).exists()
     assert "n=200" in out and "classes=3" in out and "bias_ratio=0.9" in out
     assert "group counts" in out
@@ -80,6 +80,34 @@ def test_data_cmnist_missing_file_names_path(tmp_path, capsys):
               "--labels", tmp_path / "gone-labels.idx", "--out", tmp_path / "o"])
     assert rc == 2
     assert "gone-images.idx" in capsys.readouterr().err
+
+
+def test_data_cmnist_bad_bias_ratio_exits_2_before_creating_out(tmp_path, capsys):
+    write_idx_images(tmp_path / "i.idx", np.zeros((4, 2, 2)))
+    write_idx_labels(tmp_path / "l.idx", np.arange(4))
+    rc = run(["data", "cmnist", "--images", tmp_path / "i.idx", "--labels",
+              tmp_path / "l.idx", "--bias-ratio", 0, "--out", tmp_path / "o"])
+    assert rc == 2
+    assert "bias_ratio must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "float32", "csv only"])
+def test_pretrain_on_corrupt_inputs_exits_2_naming_the_file(ws, tmp_path, capsys, corrupt):
+    data = tmp_path / "ds"
+    BiasedDataset.load(ws / "ds").save(data)
+    inputs = data / "inputs.npy"
+    if corrupt == "truncated":
+        inputs.write_bytes(inputs.read_bytes()[:-8])
+    elif corrupt == "float32":
+        np.save(inputs, np.load(inputs).astype(np.float32))
+    else:
+        inputs.unlink()
+        (data / "inputs.csv").write_text("0.5,0.5,0.5,0.5,0.5,0.5\n")
+    rc = run(["pretrain", "--data", data, "--role", "main", "--out", tmp_path / "p", *NET])
+    assert rc == 2
+    assert str(inputs) in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_missing_dataset_directory_names_path(tmp_path, capsys):
@@ -482,6 +510,9 @@ def test_config_file_unknown_field_exits_2(ws, tmp_path, capsys):
         ("sweep", {"n": [100]}, "n must be an integer"),
         ("sweep", {"classes": 4.9}, "classes must be an integer"),
         ("sweep", {"seed": [0, 1.5]}, "seed must be a non-empty list"),
+        ("sweep", {"tau": [0.07, float("nan")]}, "tau must be a non-empty list"),
+        ("sweep", {"r": [float("inf")]}, "r must be a non-empty list"),
+        ("sweep", {"n": float("inf")}, "n must be an integer"),
         ("sweep", {"lamda_reg": [0.5]}, "lamda_reg"),
     ]
     cfg_file = tmp_path / "bad.json"

@@ -1,11 +1,18 @@
 """Dataset construction: the synthetic generator, color-MNIST from IDX,
 unbiased test sets, splits, and view augmentation."""
 
+import io
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib import format as npy_format
 
 from helpers import lstsq_probe
 from rankdebias.data import (
@@ -82,8 +89,111 @@ def test_save_is_byte_deterministic(tmp_path):
     ds = gen_colorpoints(GenConfig(n=40, classes=2, bias_ratio=0.9, input_dim=5))
     ds.save(tmp_path / "a")
     ds.save(tmp_path / "b")
-    for name in ("inputs.csv", "labels.csv", "meta.json"):
+    for name in ("inputs.npy", "labels.csv", "meta.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _ds_of(inputs):
+    y = np.arange(inputs.shape[0]) % 2
+    return BiasedDataset(inputs, y, y, np.ones_like(y, dtype=bool), 1.0, 2, 2)
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                               1e308, -1e308, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+              elements=st.floats(width=64) | EDGE_FLOATS))
+def test_inputs_npy_round_trip_is_bit_exact(inputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a"), Path(tmp, "b")
+        _ds_of(inputs).save(a)
+        _ds_of(inputs).save(b)
+        assert (a / "inputs.npy").read_bytes() == (b / "inputs.npy").read_bytes()
+        back = BiasedDataset.load(a).inputs
+    assert back.dtype == np.float64 and back.shape == inputs.shape
+    assert back.tobytes() == inputs.tobytes()
+
+
+def test_inputs_npy_bytes_do_not_depend_on_memory_layout(tmp_path):
+    X = np.arange(12, dtype=np.float64).reshape(3, 4)
+    _ds_of(X).save(tmp_path / "c")
+    _ds_of(np.asfortranarray(X)).save(tmp_path / "f")
+    _ds_of(X.astype(">f8")).save(tmp_path / "be")
+    want = (tmp_path / "c" / "inputs.npy").read_bytes()
+    assert (tmp_path / "f" / "inputs.npy").read_bytes() == want
+    assert (tmp_path / "be" / "inputs.npy").read_bytes() == want
+
+
+def _npy_bytes(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _header_bytes(shape, descr="<f8", fortran_order=False) -> bytes:
+    buf = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return buf.getvalue()
+
+
+TEN_BY_SEVEN = np.arange(70, dtype=np.float64).reshape(10, 7)
+# each replaces the inputs.npy of a 10 x 7 dataset
+CORRUPT_INPUTS = {
+    "empty": b"",
+    "bad magic": b"NUMPY\x01\x00" + _npy_bytes(TEN_BY_SEVEN)[8:],
+    "trailing bytes": _npy_bytes(TEN_BY_SEVEN) + b"\x00",
+    "float32": _npy_bytes(TEN_BY_SEVEN.astype(np.float32)),
+    "big-endian": _npy_bytes(TEN_BY_SEVEN.astype(">f8")),
+    "fortran order": _header_bytes((10, 7), fortran_order=True) + TEN_BY_SEVEN.tobytes(),
+    "1-D": _npy_bytes(TEN_BY_SEVEN.ravel()),
+    "3-D": _npy_bytes(TEN_BY_SEVEN.reshape(10, 7, 1)),
+    "negative shape": _header_bytes((-10, -7)) + TEN_BY_SEVEN.tobytes(),
+    "object dtype": _npy_bytes(np.array([[1.0, None]] * 10, dtype=object), allow_pickle=True),
+    "header too large": _header_bytes((999999, 7)) + TEN_BY_SEVEN.tobytes(),
+    "garbled header": _npy_bytes(TEN_BY_SEVEN).replace(b"'shape'", b"'shaqe'"),
+    "9 of 10 rows": _npy_bytes(TEN_BY_SEVEN[:9]),
+}
+
+
+@pytest.fixture
+def ten_rows(tmp_path):
+    _ds_of(TEN_BY_SEVEN).save(tmp_path / "d")
+    return tmp_path / "d"
+
+
+@pytest.mark.parametrize("name", CORRUPT_INPUTS)
+def test_load_refuses_corrupt_inputs_naming_the_path(ten_rows, name):
+    path = ten_rows / "inputs.npy"
+    path.write_bytes(CORRUPT_INPUTS[name])
+    with pytest.raises(ValueError, match="inputs.npy"):
+        BiasedDataset.load(ten_rows)
+
+
+def test_load_refuses_every_truncation(ten_rows):
+    path = ten_rows / "inputs.npy"
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="inputs.npy"):
+            BiasedDataset.load(ten_rows)
+    path.write_bytes(raw)
+    assert BiasedDataset.load(ten_rows).inputs.tobytes() == TEN_BY_SEVEN.tobytes()
+
+
+def test_load_checks_the_header_before_allocating(ten_rows):
+    # the header claims (999999, 7), 56 MB; the file holds 10 rows
+    (ten_rows / "inputs.npy").write_bytes(CORRUPT_INPUTS["header too large"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="inputs.npy"):
+            BiasedDataset.load(ten_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_labels_csv_has_header(tmp_path):

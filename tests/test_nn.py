@@ -242,6 +242,21 @@ def test_backward_rejects_wrong_grad_shape():
         backward(net, cache, np.zeros((3, 3)))
 
 
+def test_backward_fills_out_when_given():
+    rng = np.random.default_rng(19)
+    net = DenseNet.init([4, 6, 2], rng)
+    _, cache = forward(net, rng.normal(size=(5, 4)))
+    grad = rng.normal(size=(5, 2))
+    fresh, din = backward(net, cache, grad)
+    out = DenseNet([4, 6, 2], np.full(net.flat.size, np.nan))
+    kept, din_out = backward(net, cache, grad, out=out)
+    assert kept is out
+    np.testing.assert_array_equal(out.flat, fresh.flat)
+    np.testing.assert_array_equal(din_out, din)
+    with pytest.raises(ValueError, match="out has dims"):
+        backward(net, cache, grad, out=DenseNet([4, 5, 2]))
+
+
 def test_forward_cache_holds_preactivations():
     rng = np.random.default_rng(14)
     net = DenseNet.init([3, 4, 2], rng)
@@ -322,6 +337,59 @@ def test_adam_rejects_shape_mismatch():
         adam_step(p, [np.zeros(3)], state, 0.1)
     with pytest.raises(ValueError, match="length"):
         adam_step(p, [], AdamState.init(p), 0.1)
+
+
+def _reference_step(kind, p, g, acc, lr, wd, t):
+    """The update as one expression per line, allocating its temporaries."""
+    g = g + wd * p if wd else g
+    if kind == "adam":
+        m, v = acc
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    else:
+        (vel,) = acc
+        vel *= 0.9
+        vel += g
+        p -= lr * vel
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_optimizer_step_is_bit_identical_to_reference_and_allocates_nothing(kind, wd):
+    rng = np.random.default_rng(20)
+    shapes = [(300, 200), (200,)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref = [p.copy() for p in params]
+    ref_acc = [[np.zeros(s) for s in shapes] for _ in range(2 if kind == "adam" else 1)]
+    state = (AdamState if kind == "adam" else MomentumState).init(params)
+
+    def step(grads, lr):
+        if kind == "adam":
+            adam_step(params, grads, state, lr, weight_decay=wd)
+        else:
+            sgd_momentum_step(params, grads, state, lr, momentum=0.9, weight_decay=wd)
+
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        lr = 0.01 * t
+        if t < 5:
+            step(grads, lr)
+        else:
+            tracemalloc.start()
+            try:
+                step(grads, lr)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # one temporary of the big array would be 480 kB
+            assert peak < 16 * 1024
+        for i in range(len(shapes)):
+            _reference_step(kind, ref[i], grads[i], [a[i] for a in ref_acc], lr, wd, t)
+    for p, r in zip(params, ref):
+        assert p.tobytes() == r.tobytes()
 
 
 # ------------------------------------------------------------- sgd momentum
