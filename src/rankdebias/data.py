@@ -523,60 +523,115 @@ def augment_vector_batch(X, rng: np.random.Generator, feature_std,
     return (X + noise) * keep * scale
 
 
-def _bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize a (c, h, w) image with separable bilinear interpolation."""
-    c, h, w = img.shape
-
-    def _axis_coords(size, out_size):
-        src = (np.arange(out_size) + 0.5) * (size / out_size) - 0.5
-        src = np.clip(src, 0.0, size - 1.0)
-        i0 = np.floor(src).astype(int)
-        i1 = np.minimum(i0 + 1, size - 1)
-        frac = src - i0
-        return i0, i1, frac
-
-    r0, r1, rf = _axis_coords(h, out_h)
-    c0, c1, cf = _axis_coords(w, out_w)
-    rows = img[:, r0, :] * (1.0 - rf)[None, :, None] + img[:, r1, :] * rf[None, :, None]
-    return rows[:, :, c0] * (1.0 - cf) + rows[:, :, c1] * cf
+def _axis_coords(size: np.ndarray, out_size: int):
+    """Bilinear source coordinates along one axis, for crops of size[i]
+    pixels resized to out_size: the lower and upper source index of each
+    output pixel and the weight of the upper one, each (len(size), out_size)."""
+    size = size[:, None]
+    src = (np.arange(out_size) + 0.5) * (size / out_size) - 0.5
+    src = np.clip(src, 0.0, size - 1.0)
+    i0 = np.floor(src).astype(np.intp)
+    i1 = np.minimum(i0 + 1, size - 1)
+    return i0, i1, src - i0
 
 
-def _augment_image(img: np.ndarray, rng: np.random.Generator,
-                   cfg: ImageAugmentConfig) -> np.ndarray:
-    """One stochastic view of a (c, h, w) image in [0, 1]. All random values
-    are drawn regardless of which branches fire."""
-    c, h, w = img.shape
-    area = rng.uniform(cfg.crop_scale_min, 1.0)
-    side_h = max(1, int(round(h * np.sqrt(area))))
-    side_w = max(1, int(round(w * np.sqrt(area))))
-    top = int(rng.integers(0, h - side_h + 1))
-    left = int(rng.integers(0, w - side_w + 1))
-    out = _bilinear_resize(img[:, top:top + side_h, left:left + side_w], h, w)
+def _lerp_rows(rows: np.ndarray, i0, i1, frac, lo: np.ndarray, hi: np.ndarray
+               ) -> np.ndarray:
+    """rows[i0] * (1 - frac) + rows[i1] * frac, gathering whole rows of the
+    2-D array rows into the flat buffers lo and hi; frac broadcasts against
+    the (*i0.shape, row length) result, which is left in lo."""
+    shape = (*i0.shape, rows.shape[1])
+    lo, hi = lo.reshape(shape), hi.reshape(shape)
+    # the indices are in range by construction; any mode but "raise" lets
+    # take write into lo and hi directly instead of through a buffer
+    np.take(rows, i0, axis=0, out=lo, mode="clip")
+    np.take(rows, i1, axis=0, out=hi, mode="clip")
+    lo *= 1.0 - frac
+    hi *= frac
+    lo += hi
+    return lo
 
-    do_flip = rng.random() < cfg.flip_p
-    do_jitter = rng.random() < cfg.jitter_p
-    s = cfg.jitter_strength
-    brightness = rng.uniform(1.0 - s, 1.0 + s, c)
-    contrast = rng.uniform(1.0 - s, 1.0 + s, c)
-    do_gray = rng.random() < cfg.grayscale_p
 
-    if do_flip:
-        out = out[:, :, ::-1]
-    if do_jitter:
-        out = out * brightness[:, None, None]
-        mean = out.mean(axis=(1, 2), keepdims=True)
-        out = mean + contrast[:, None, None] * (out - mean)
-    if do_gray:
-        out = np.broadcast_to(out.mean(axis=0, keepdims=True), out.shape)
-    return np.clip(out, 0.0, 1.0)
+def _plane_means(planes: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Mean of each (w, h) plane of an (n, c, w, h) array, summed in the
+    order numpy sums the (c, h, w) view of one resized image, whose memory
+    runs (w, h, c): one term after another for c > 1, pairwise for c == 1.
+    scratch is a flat buffer of planes.size floats."""
+    n, c, w, h = planes.shape
+    flat = planes.reshape(n * c, w * h)
+    if c == 1:
+        sums = np.add.reduce(flat, axis=1)
+    else:
+        # summed down the columns of the transpose: each row adds one term
+        # to every plane's running sum
+        terms = scratch.reshape(w * h, n * c)
+        np.copyto(terms, flat.T)
+        sums = np.add.reduce(terms, axis=0)
+    sums /= w * h
+    return sums.reshape(n, c, 1, 1)
 
 
 def augment_image_batch(X, rng: np.random.Generator, image_shape,
                         config: ImageAugmentConfig | None = None) -> np.ndarray:
+    """One stochastic view of each row, a flattened (c, h, w) image in [0, 1]:
+    a random crop resized back bilinearly, then a horizontal flip, color
+    jitter (per-channel brightness, then contrast about the channel mean)
+    and grayscale, each with its probability, then a clip to [0, 1].
+
+    Every image draws the same random values in the same order, whichever
+    branches fire: the crop area, its top and left, flip, jitter, c
+    brightness and c contrast factors, grayscale. Only the draws loop over
+    images; the pixel work runs once over the whole batch.
+    """
     cfg = config or ImageAugmentConfig()
     X = np.asarray(X, dtype=np.float64)
     c, h, w = image_shape
-    out = np.empty_like(X)
-    for i in range(X.shape[0]):
-        out[i] = _augment_image(X[i].reshape(c, h, w), rng, cfg).reshape(-1)
-    return out
+    n = X.shape[0]
+    side = np.empty((2, n), dtype=np.intp)
+    corner = np.empty((2, n), dtype=np.intp)
+    coin = np.empty((3, n))
+    factors = np.empty((n, 2, c))  # brightness, contrast
+    s = cfg.jitter_strength
+    # random(2) and the (2, c) uniform draw the same values as two calls each
+    for i in range(n):
+        root = math.sqrt(rng.uniform(cfg.crop_scale_min, 1.0))
+        side[0, i] = side_h = max(1, round(h * root))
+        side[1, i] = side_w = max(1, round(w * root))
+        corner[0, i] = rng.integers(0, h - side_h + 1)
+        corner[1, i] = rng.integers(0, w - side_w + 1)
+        coin[:2, i] = rng.random(2)
+        factors[i] = rng.uniform(1.0 - s, 1.0 + s, (2, c))
+        coin[2, i] = rng.random()
+    flip = coin[0] < cfg.flip_p
+    jitter = coin[1] < cfg.jitter_p
+    gray = coin[2] < cfg.grayscale_p
+
+    # crop rows, resized to h, over the full width: (n, c, h, w) in lo
+    lo, hi, views = np.empty(X.size), np.empty(X.size), np.empty_like(X)
+    r0, r1, rf = _axis_coords(side[0], h)
+    start = (np.arange(n * c).reshape(n, c) * h + corner[0][:, None])[:, :, None]
+    rows = _lerp_rows(X.reshape(n * c * h, w), start + r0[:, None], start + r1[:, None],
+                      rf[:, None, :, None], lo, hi)
+    # crop columns, resized to w, as rows of the transpose (in views until
+    # the end): (n, c, w, h) in lo; a flip reverses an image's column
+    # coordinates
+    cols = views.reshape(n, c, w, h)
+    np.copyto(cols, rows.transpose(0, 1, 3, 2))
+    c0, c1, cf = (np.where(flip[:, None], a[:, ::-1], a) for a in _axis_coords(side[1], w))
+    start = (np.arange(n * c).reshape(n, c) * w + corner[1][:, None])[:, :, None]
+    out = _lerp_rows(cols.reshape(n * c * w, h), start + c0[:, None], start + c1[:, None],
+                     cf[:, None, :, None], lo, hi)
+
+    if jitter.any():
+        plain = np.flatnonzero(~jitter)
+        kept = out[plain]
+        out *= factors[:, 0, :, None, None]
+        mean = _plane_means(out, hi)
+        out -= mean
+        out *= factors[:, 1, :, None, None]
+        out += mean
+        out[plain] = kept
+    if gray.any():
+        out[gray] = out[gray].mean(axis=1, keepdims=True)
+    np.clip(out.transpose(0, 1, 3, 2), 0.0, 1.0, out=views.reshape(n, c, h, w))
+    return views

@@ -128,14 +128,18 @@ def apply(net: DenseNet, X) -> np.ndarray:
 
 
 def backward(net: DenseNet, cache: ForwardCache, output_grad,
-             out: DenseNet | None = None) -> tuple[DenseNet, np.ndarray]:
+             out: DenseNet | None = None, input_grad: bool = True
+             ) -> tuple[DenseNet, np.ndarray | None]:
     """Reverse-mode gradients for the affine/ReLU stack.
 
     Returns (grads, input_grad): grads is a DenseNet of net's dims holding
     the parameter gradients, so grads.flat lines up with net.flat. When
     out is given the gradients are written into it and it is returned as
-    grads, so a training loop can keep one gradient buffer per net. The
-    cache must come from a forward pass of this net on the same batch.
+    grads, so a training loop can keep one gradient buffer per net. With
+    input_grad=False the gradient with respect to the input batch, the
+    first layer's delta @ W.T, is not computed and None is returned in its
+    place. The cache must come from a forward pass of this net on the same
+    batch.
     """
     if cache.layer_dims != net.layer_dims:
         raise ValueError(
@@ -156,6 +160,8 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad,
             delta = delta * (cache.pre[i] > 0.0)
         np.matmul(cache.inputs[i].T, delta, out=out.weights[i])
         np.sum(delta, axis=0, out=out.biases[i])
+        if i == 0 and not input_grad:
+            return out, None
         delta = delta @ net.weights[i].T
     return out, delta
 
@@ -273,7 +279,8 @@ def save_checkpoint(path, net: DenseNet, config: dict | None = None) -> None:
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(dims)))
         f.write(struct.pack(f"<{len(dims)}I", *dims))
-        f.write(net.flat.astype("<f8").tobytes())
+        # written from the array's own buffer: no copy on a little-endian host
+        f.write(np.ascontiguousarray(net.flat, "<f8").data)
     write_json(str(path) + ".json", {"layer_dims": dims, "config": config or {}})
 
 
@@ -282,13 +289,16 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
     path = Path(path)
     with open(path, "rb") as f:
 
-        def read(size: int) -> bytes:
+        def check(size: int) -> int:
             # checked before reading, so a corrupt header never allocates
             # more than the file holds
             left = os.fstat(f.fileno()).st_size - f.tell()
             if size > left:
                 raise ValueError(f"{path}: truncated, {left} of {size} bytes left")
-            return f.read(size)
+            return size
+
+        def read(size: int) -> bytes:
+            return f.read(check(size))
 
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -302,7 +312,12 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
             size = _flat_size(dims)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        net = DenseNet(dims, np.frombuffer(read(8 * size), dtype="<f8").astype(np.float64))
+        # read straight into the parameter vector, with no bytes object
+        check(8 * size)
+        flat = np.empty(size, dtype="<f8")
+        if f.readinto(flat) != 8 * size:
+            raise ValueError(f"{path}: changed while being read")
+        net = DenseNet(dims, flat)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")

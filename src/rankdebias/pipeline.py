@@ -270,7 +270,7 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
             for i in reversed(range(len(nets))):
                 if i == 0 and extra is not None:
                     grad = grad + extra
-                _, grad = backward(nets[i], caches[i], grad, out=grads[i])
+                _, grad = backward(nets[i], caches[i], grad, out=grads[i], input_grad=i > 0)
             if opt.momentum is None:
                 adam_step(params, flat_grads, state, opt.lr(step),
                           weight_decay=opt.weight_decay)

@@ -141,3 +141,58 @@ def lstsq_probe(train_X, train_y, test_X, test_y, classes):
     At = np.hstack([test_X, np.ones((test_X.shape[0], 1))])
     pred = np.argmax(At @ W, axis=1)
     return 100.0 * float(np.mean(pred == test_y))
+
+
+def _bilinear_resize(img, out_h, out_w):
+    """Resize a (c, h, w) image with separable bilinear interpolation."""
+
+    def axis_coords(size, out_size):
+        src = (np.arange(out_size) + 0.5) * (size / out_size) - 0.5
+        src = np.clip(src, 0.0, size - 1.0)
+        i0 = np.floor(src).astype(int)
+        i1 = np.minimum(i0 + 1, size - 1)
+        return i0, i1, src - i0
+
+    r0, r1, rf = axis_coords(img.shape[1], out_h)
+    c0, c1, cf = axis_coords(img.shape[2], out_w)
+    rows = img[:, r0, :] * (1.0 - rf)[None, :, None] + img[:, r1, :] * rf[None, :, None]
+    return rows[:, :, c0] * (1.0 - cf) + rows[:, :, c1] * cf
+
+
+def _augment_image(img, rng, cfg):
+    """One stochastic view of a (c, h, w) image in [0, 1]. All random values
+    are drawn regardless of which branches fire."""
+    c, h, w = img.shape
+    area = rng.uniform(cfg.crop_scale_min, 1.0)
+    side_h = max(1, int(round(h * np.sqrt(area))))
+    side_w = max(1, int(round(w * np.sqrt(area))))
+    top = int(rng.integers(0, h - side_h + 1))
+    left = int(rng.integers(0, w - side_w + 1))
+    out = _bilinear_resize(img[:, top:top + side_h, left:left + side_w], h, w)
+
+    do_flip = rng.random() < cfg.flip_p
+    do_jitter = rng.random() < cfg.jitter_p
+    s = cfg.jitter_strength
+    brightness = rng.uniform(1.0 - s, 1.0 + s, c)
+    contrast = rng.uniform(1.0 - s, 1.0 + s, c)
+    do_gray = rng.random() < cfg.grayscale_p
+
+    if do_flip:
+        out = out[:, :, ::-1]
+    if do_jitter:
+        out = out * brightness[:, None, None]
+        mean = out.mean(axis=(1, 2), keepdims=True)
+        out = mean + contrast[:, None, None] * (out - mean)
+    if do_gray:
+        out = np.broadcast_to(out.mean(axis=0, keepdims=True), out.shape)
+    return np.clip(out, 0.0, 1.0)
+
+
+def loop_augment_images(X, rng, image_shape, cfg):
+    """Image views one image at a time, each with its own crop-resize,
+    flip, jitter and grayscale: the reference for augment_image_batch."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty_like(X)
+    for i in range(X.shape[0]):
+        out[i] = _augment_image(X[i].reshape(image_shape), rng, cfg).reshape(-1)
+    return out

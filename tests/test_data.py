@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib import format as npy_format
 
-from helpers import lstsq_probe
+from helpers import loop_augment_images, lstsq_probe
 from rankdebias.data import (
     BIAS_OFFSET,
     CMNIST_PALETTE,
@@ -587,3 +587,29 @@ def test_image_flip_is_exact_reversal():
     out = augment_image_batch(x, np.random.default_rng(4), (3, 4, 4), cfg)
     np.testing.assert_array_equal(out.reshape(3, 4, 4),
                                   x.reshape(3, 4, 4)[:, :, ::-1])
+
+
+ORACLE_CONFIGS = {
+    "defaults": {},
+    **{f"{name}={p}": {name: p} for name in ("flip_p", "jitter_p", "grayscale_p")
+       for p in (0.0, 1.0)},
+    "crop_scale_min=0.001": {"crop_scale_min": 0.001},
+    "crop_scale_min=1.0": {"crop_scale_min": 1.0},
+    "jitter_strength=0.99": {"jitter_strength": 0.99},
+}
+
+
+@pytest.mark.parametrize("n", [1, 17])
+@pytest.mark.parametrize("shape", [(3, 28, 28), (3, 4, 4), (3, 5, 7), (2, 9, 3), (1, 28, 28)],
+                         ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("config", list(ORACLE_CONFIGS.values()), ids=list(ORACLE_CONFIGS))
+def test_image_batch_matches_per_image_oracle(config, shape, n):
+    # byte-equal views and the same generator state afterwards; the
+    # one-channel shape sums each channel mean pairwise, the others in order
+    cfg = ImageAugmentConfig(**config)
+    X = np.random.default_rng(31).random((n, int(np.prod(shape))))
+    rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+    out = augment_image_batch(X, rng, shape, cfg)
+    ref = loop_augment_images(X, ref_rng, shape, cfg)
+    assert out.tobytes() == ref.tobytes()
+    assert rng.bytes(8) == ref_rng.bytes(8)

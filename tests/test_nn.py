@@ -257,6 +257,17 @@ def test_backward_fills_out_when_given():
         backward(net, cache, grad, out=DenseNet([4, 5, 2]))
 
 
+def test_backward_without_input_grad_keeps_parameter_grads():
+    rng = np.random.default_rng(26)
+    net = DenseNet.init([4, 6, 5, 2], rng)
+    _, cache = forward(net, rng.normal(size=(7, 4)))
+    grad = rng.normal(size=(7, 2))
+    full, din = backward(net, cache, grad)
+    skipped, none = backward(net, cache, grad, input_grad=False)
+    assert din.shape == (7, 4) and none is None
+    assert skipped.flat.tobytes() == full.flat.tobytes()
+
+
 def test_forward_cache_holds_preactivations():
     rng = np.random.default_rng(14)
     net = DenseNet.init([3, 4, 2], rng)
@@ -587,6 +598,26 @@ def test_checkpoint_header_larger_than_file_fails_before_allocating(tmp_path, he
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_checkpoint_save_and_load_copy_no_parameters(tmp_path):
+    # the color-MNIST encoder's size: 684.6k parameters, 5.5 MB
+    net = DenseNet.init([2352, 256, 256, 64], np.random.default_rng(25))
+    path = tmp_path / "enc.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, net)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back, _ = load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.flat.size == 684_608
+    assert save_peak < 1 << 20
+    # beyond the parameter vector that the loaded net holds
+    assert load_peak - back.flat.nbytes < 1 << 20
+    assert back.flat.tobytes() == net.flat.tobytes()
 
 
 def test_checkpoint_missing_sidecar_is_tolerated(tmp_path):

@@ -9,7 +9,10 @@ PYTHONPATH and OUT_DIR as its working directory. OUT_DIR must be absent or
 empty. The commands cover every subcommand: two synthetic datasets, both
 pretraining roles, debias in both modes at two label fractions, erm on
 both targets and with the rank penalty, a diverging erm run, one sweep of
-each family with a failing row, and a spectrum.
+each family with a failing row, and a spectrum. Three more run on a small
+seeded IDX fixture that the tool writes with numpy alone: color-MNIST from
+it, image pretraining on that (the only commands that draw augmented image
+views) and a spectrum of the image encoder.
 
 The listing has one "<sha256>  <relative path>" line per file under
 OUT_DIR, sorted by path. manifest.json files are left out, as they hold
@@ -26,9 +29,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 NET = ["--batch-size", "64", "--latent-dim", "8", "--hidden-dims", "16,16",
        "--proj-hidden", "16", "--proj-dim", "8", "--head-iters", "80",
@@ -43,6 +49,22 @@ def _sweep_spec(family: str) -> dict:
             "config": {"epochs": 2, "warmup_epochs": 0, "batch_size": 64,
                        "latent_dim": 8, "hidden_dims": [16, 16], "proj_hidden": 16,
                        "proj_dim": 8, "head_iters": 80}}
+
+
+# the IDX fixture: 12x10 images, so rows and columns differ
+IDX_N, IDX_ROWS, IDX_COLS = 160, 12, 10
+
+
+def _write_idx_fixture(out: Path) -> None:
+    """Sparse random uint8 images with balanced digit labels, as big-endian
+    IDX files, written here rather than by the tree under test."""
+    rng = np.random.default_rng(9)
+    labels = rng.permutation(np.arange(IDX_N) % 10).astype(np.uint8)
+    images = rng.integers(0, 256, (IDX_N, IDX_ROWS, IDX_COLS))
+    images = (images * (rng.random(images.shape) < 0.4)).astype(np.uint8)
+    (out / "idx_images").write_bytes(
+        struct.pack(">IIII", 0x803, IDX_N, IDX_ROWS, IDX_COLS) + images.tobytes())
+    (out / "idx_labels").write_bytes(struct.pack(">II", 0x801, IDX_N) + labels.tobytes())
 
 
 # (name, argv); the order matters, as later commands read earlier outputs
@@ -67,6 +89,13 @@ COMMANDS = [
     ("sweep-erm", ["sweep", "--spec", "sweep_erm.json", "--out", "sweep_erm"]),
     ("sweep-pipeline", ["sweep", "--spec", "sweep_pipeline.json", "--out", "sweep_pipeline"]),
     ("spectrum", ["spectrum", "--ckpt", "pre_b/encoder.ckpt", "--data", "ds", "--out", "spec"]),
+    ("data-cmnist", ["data", "cmnist", "--images", "idx_images", "--labels", "idx_labels",
+                     "--bias-ratio", "0.9", "--seed", "6", "--out", "ds_cm"]),
+    ("pretrain-cmnist", ["pretrain", "--data", "ds_cm", "--role", "biased",
+                         "--modality", "cmnist-image", "--lambda-reg", "0.1",
+                         "--out", "pre_cm", *NET]),
+    ("spectrum-cmnist", ["spectrum", "--ckpt", "pre_cm/encoder.ckpt", "--data", "ds_cm",
+                         "--out", "spec_cm"]),
 ]
 
 
@@ -81,6 +110,7 @@ def run_all(src: Path, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for family in ("erm", "pipeline"):
         (out / f"sweep_{family}.json").write_text(json.dumps(_sweep_spec(family)) + "\n")
+    _write_idx_fixture(out)
     (out / "stdout").mkdir()
     for i, (name, argv) in enumerate(COMMANDS):
         proc = subprocess.run([sys.executable, "-m", "rankdebias.cli", *argv], cwd=out,
