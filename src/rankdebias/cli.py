@@ -123,8 +123,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
+        if not path.is_file():
+            raise FileNotFoundError(f"no config file at {path}")
         values.update(_config_fields(json.loads(path.read_text()), f"config file {path}"))
     for f in fields(ExperimentConfig):
         if getattr(args, f.name, None) is not None:
@@ -150,15 +150,15 @@ def _write_train_log(path: Path, log: list[dict], columns: list[str]) -> None:
 
 def _load_dataset(path: str) -> BiasedDataset:
     directory = Path(path)
-    if not directory.exists():
-        raise FileNotFoundError(f"dataset directory not found: {directory}")
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no dataset directory at {directory}")
     return BiasedDataset.load(directory)
 
 
 def _load_encoder(path: str):
     ckpt = Path(path)
-    if not ckpt.exists():
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
+    if not ckpt.is_file():
+        raise FileNotFoundError(f"no checkpoint file at {ckpt}")
     return load_checkpoint(ckpt)
 
 
@@ -222,15 +222,15 @@ def cmd_data(args) -> int:
             classes=args.classes,
             bias_ratio=args.bias_ratio,
             noise=args.noise,
-            input_dim=args.input_dim if args.input_dim else 2 + args.classes,
+            input_dim=2 + args.classes if args.input_dim is None else args.input_dim,
             seed=args.seed,
         )
         inputs = {}
         config = {"generator": "colorpoints", **asdict(gen_cfg)}
     else:
         for path in (args.images, args.labels):
-            if not Path(path).exists():
-                raise FileNotFoundError(f"IDX file not found: {path}")
+            if not Path(path).is_file():
+                raise FileNotFoundError(f"no IDX file at {path}")
         check_bias_ratio(args.bias_ratio)
         inputs = {"images": args.images, "labels": args.labels}
         config = {
@@ -476,8 +476,8 @@ def _select_config(rows: list[dict]) -> dict:
 
 def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise FileNotFoundError(f"sweep spec not found: {spec_path}")
+    if not spec_path.is_file():
+        raise FileNotFoundError(f"no sweep spec file at {spec_path}")
     spec = json.loads(spec_path.read_text())
     if not isinstance(spec, dict):
         raise ValueError(f"sweep spec {spec_path} must hold a JSON object")

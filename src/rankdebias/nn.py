@@ -5,6 +5,8 @@ output, Adam and SGD-with-momentum updates, cosine learning-rate
 scheduling with linear warmup, and a flat binary checkpoint format. All
 of a net's parameters live in one float64 vector, DenseNet.flat, which
 is also the checkpoint payload; gradients come back in the same layout.
+A forward pass stores each layer's output once, as one array: forward
+keeps them all for backward, and apply drops each as the next is built.
 All state lives in plain numpy arrays so every gradient in the system
 can be checked against finite differences.
 """
@@ -93,37 +95,40 @@ class DenseNet:
         return DenseNet(list(self.layer_dims), self.flat.copy())
 
 
-def make_linear_head(in_dim: int, num_classes: int, rng: np.random.Generator) -> DenseNet:
-    """Single affine layer: the linear classifier used on frozen features."""
-    return DenseNet.init([in_dim, num_classes], rng)
-
-
 @dataclass
 class ForwardCache:
-    layer_dims: list[int]
-    inputs: list[np.ndarray]  # input to each layer (post-activation of previous)
-    pre: list[np.ndarray]     # pre-activation of each layer
+    # the input to each layer: the batch, then each hidden layer's ReLU
+    # output, which is also where backward reads the ReLU masks from
+    inputs: list[np.ndarray]
 
 
-def forward(net: DenseNet, X) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network, keeping per-layer intermediates for backward."""
+def _layer_outputs(net: DenseNet, X):
+    """Yield the checked batch, then each layer's output, one array per
+    layer: ReLU on hidden layers, applied in place, identity on the last."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.in_dim:
         raise ValueError(f"batch shape {X.shape} does not match input dim {net.in_dim}")
-    inputs, pre = [], []
+    yield X
     h = X
     last = len(net.weights) - 1
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(h)
-        z = h @ W + b
-        pre.append(z)
-        h = z if i == last else np.maximum(z, 0.0)
-    return h, ForwardCache(list(net.layer_dims), inputs, pre)
+        h = h @ W
+        h += b
+        if i != last:
+            np.maximum(h, 0.0, out=h)
+        yield h
+
+
+def forward(net: DenseNet, X) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network, keeping each layer's input for backward."""
+    *inputs, out = _layer_outputs(net, X)
+    return out, ForwardCache(inputs)
 
 
 def apply(net: DenseNet, X) -> np.ndarray:
-    """Forward pass without keeping the cache."""
-    out, _ = forward(net, X)
+    """Forward pass that holds only the layer being computed and its input."""
+    for out in _layer_outputs(net, X):
+        pass
     return out
 
 
@@ -141,15 +146,13 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad,
     place. The cache must come from a forward pass of this net on the same
     batch.
     """
-    if cache.layer_dims != net.layer_dims:
-        raise ValueError(
-            f"cache built for dims {cache.layer_dims}, net has {net.layer_dims}"
-        )
+    widths = [h.shape[1] for h in cache.inputs]
+    if widths != net.layer_dims[:-1]:
+        raise ValueError(f"cache built for dims {widths}, net has {net.layer_dims}")
     delta = np.asarray(output_grad, dtype=np.float64)
-    if delta.shape != cache.pre[-1].shape:
-        raise ValueError(
-            f"output_grad shape {delta.shape} does not match output {cache.pre[-1].shape}"
-        )
+    expected = (cache.inputs[0].shape[0], net.out_dim)
+    if delta.shape != expected:
+        raise ValueError(f"output_grad shape {delta.shape} does not match output {expected}")
     if out is None:
         out = DenseNet(net.layer_dims, np.empty_like(net.flat))
     elif out.layer_dims != net.layer_dims:
@@ -157,7 +160,9 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad,
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
-            delta = delta * (cache.pre[i] > 0.0)
+            # a ReLU output is > 0 exactly where its pre-activation is;
+            # delta is a fresh delta @ W.T here, so it can be masked in place
+            delta *= cache.inputs[i + 1] > 0.0
         np.matmul(cache.inputs[i].T, delta, out=out.weights[i])
         np.sum(delta, axis=0, out=out.biases[i])
         if i == 0 and not input_grad:

@@ -34,7 +34,6 @@ from .nn import (
     backward,
     cosine_lr,
     forward,
-    make_linear_head,
     sgd_momentum_step,
 )
 from .spectral import effective_rank, svd_values
@@ -323,7 +322,7 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
 
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "erm-encoder-init"))
-    head = make_linear_head(cfg.latent_dim, classes, stream(cfg.seed, "erm-head-init"))
+    head = DenseNet.init([cfg.latent_dim, classes], stream(cfg.seed, "erm-head-init"))
     batch_rng = stream(cfg.seed, "erm-batches")
     # trailing batches of a single sample are skipped
     steps_per_epoch = n // cfg.batch_size + (1 if n % cfg.batch_size >= 2 else 0)
@@ -430,7 +429,7 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
     n = reps.shape[0]
     if n == 0:
         raise ValueError("cannot train a head on an empty labeled set")
-    head = make_linear_head(reps.shape[1], classes, stream(cfg.seed, rng_name + "-init"))
+    head = DenseNet.init([reps.shape[1], classes], stream(cfg.seed, rng_name + "-init"))
     rng = stream(cfg.seed, rng_name + "-batches")
     draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(cfg.head_iters))
     _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_indices, cfg.lambda_up),

@@ -177,10 +177,3 @@ def write_matrix_csv(path, M) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
     np.savetxt(path, M, delimiter=",", fmt="%.12e")
 
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a header-free CSV matrix written by write_matrix_csv."""
-    M = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"matrix loaded from {path} contains non-finite entries")
-    return M

@@ -52,6 +52,38 @@ def rel_err(approx, ref):
     return float(np.linalg.norm((approx - ref).ravel()) / denom)
 
 
+
+def preactivation_forward(net, X):
+    """Forward pass that keeps each layer's pre-activation next to its
+    input, built as h @ W + b and then np.maximum: (out, inputs, pre)."""
+    inputs, pre = [], []
+    h = np.asarray(X, dtype=np.float64)
+    last = len(net.weights) - 1
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        z = h @ W + b
+        pre.append(z)
+        h = z if i == last else np.maximum(z, 0.0)
+    return h, inputs, pre
+
+
+def preactivation_backward(net, inputs, pre, output_grad, input_grad=True):
+    """Backward pass over preactivation_forward's lists, with each ReLU
+    mask taken from the pre-activation: (flat parameter gradient in
+    DenseNet layout, input gradient or None)."""
+    delta = np.asarray(output_grad, dtype=np.float64)
+    last = len(net.weights) - 1
+    parts = []
+    for i in range(last, -1, -1):
+        if i != last:
+            delta = delta * (pre[i] > 0.0)
+        # layers run last to first, so each one's gradients go in front
+        parts[:0] = [(inputs[i].T @ delta).ravel(), np.sum(delta, axis=0)]
+        if i == 0 and not input_grad:
+            return np.concatenate(parts), None
+        delta = delta @ net.weights[i].T
+    return np.concatenate(parts), delta
+
 def eig_svd(M):
     """Singular values from the eigendecomposition of the Gram matrix,
     descending. Independent route used to check svd_values."""

@@ -15,7 +15,6 @@ from rankdebias.cli import main
 from rankdebias.data import BiasedDataset, write_idx_images, write_idx_labels
 from rankdebias.nn import load_checkpoint
 from rankdebias.pipeline import ExperimentConfig
-from rankdebias.spectral import read_matrix_csv
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*groups are empty")
 
@@ -65,13 +64,13 @@ def test_data_gen_layout_and_stdout(ws, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("n", 0), ("n", -3), ("seed", -1), ("noise", "nan"),
+    ("n", 0), ("n", -3), ("seed", -1), ("noise", "nan"), ("input-dim", 0),
 ])
 def test_data_gen_bad_value_names_field_and_exits_2(tmp_path, capsys, flag, value):
     rc = run(["data", "gen", "--n", 50, "--classes", 3, "--" + flag, value,
               "--out", tmp_path / "d"])
     assert rc == 2
-    assert f"{flag} must" in capsys.readouterr().err
+    assert f"{flag.replace('-', '_')} must" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
 
 
@@ -114,6 +113,37 @@ def test_missing_dataset_directory_names_path(tmp_path, capsys):
     rc = run(["erm", "--data", tmp_path / "absent", "--out", tmp_path / "o", *NET])
     assert rc == 2
     assert "absent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("pretrain", "--data"), ("erm", "--test"), ("pretrain", "--config"),
+    ("debias", "--biased-ckpt"), ("debias", "--main-ckpt"), ("spectrum", "--ckpt"),
+    ("sweep", "--spec"), ("cmnist", "--images"), ("cmnist", "--labels"),
+])
+def test_input_path_of_the_wrong_kind_exits_2_naming_it(ws, tmp_path, capsys, command, flag):
+    # a file where a dataset directory is expected, a directory elsewhere
+    wrong = tmp_path / "wrong"
+    if flag in ("--data", "--test"):
+        wrong.write_text("not a dataset\n")
+    else:
+        wrong.mkdir()
+    write_idx_images(tmp_path / "i.idx", np.zeros((4, 2, 2)))
+    write_idx_labels(tmp_path / "l.idx", np.arange(4))
+    ckpt = ws / "pre_b" / "encoder.ckpt"
+    valid = {
+        "pretrain": ["pretrain", "--data", ws / "ds", "--role", "main"],
+        "erm": ["erm", "--data", ws / "ds"],
+        "debias": ["debias", "--data", ws / "ds", "--biased-ckpt", ckpt, "--main-ckpt", ckpt],
+        "spectrum": ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"],
+        "sweep": ["sweep"],
+        "cmnist": ["data", "cmnist", "--images", tmp_path / "i.idx",
+                   "--labels", tmp_path / "l.idx"],
+    }
+    # the last of a repeated flag wins
+    rc = run([*valid[command], flag, wrong, "--out", tmp_path / "o"])
+    assert rc == 2
+    assert str(wrong) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # --------------------------------------------------------------- pretrain
@@ -371,10 +401,10 @@ def test_spectrum_outputs(ws, tmp_path, capsys):
               "--data", ws / "ds", "--out", tmp_path / "sp"])
     out = capsys.readouterr().out
     assert rc == 0
-    spectrum = read_matrix_csv(tmp_path / "sp" / "spectrum.csv")
+    spectrum = np.loadtxt(tmp_path / "sp" / "spectrum.csv", delimiter=",", ndmin=2)
     assert spectrum[0, 0] == 1.0
     assert np.all(np.diff(spectrum[:, 0]) <= 0)
-    corr = read_matrix_csv(tmp_path / "sp" / "correlation.csv")
+    corr = np.loadtxt(tmp_path / "sp" / "correlation.csv", delimiter=",", ndmin=2)
     assert np.allclose(corr, corr.T)
     report = json.loads((tmp_path / "sp" / "report.json").read_text())
     printed = float(out.split("effective_rank")[1].split()[0])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import net_central_diff, rel_err
+from helpers import net_central_diff, preactivation_backward, preactivation_forward, rel_err
 from rankdebias.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -27,7 +27,6 @@ from rankdebias.nn import (
     cosine_lr,
     forward,
     load_checkpoint,
-    make_linear_head,
     save_checkpoint,
     sgd_momentum_step,
 )
@@ -94,8 +93,8 @@ def test_copy_is_deep():
     assert net.weights[0][0, 0] != dup.weights[0][0, 0]
 
 
-def test_make_linear_head_is_single_affine():
-    head = make_linear_head(16, 10, np.random.default_rng(3))
+def test_linear_head_init_is_single_affine():
+    head = DenseNet.init([16, 10], np.random.default_rng(3))
     assert head.layer_dims == [16, 10]
     assert len(head.weights) == 1
 
@@ -195,7 +194,8 @@ def test_backward_matches_finite_differences(seed):
 
     _, cache = forward(net, X)
     # finite differences are meaningless across a relu kink; stay clear
-    assume(all(np.min(np.abs(p)) > 1e-3 for p in cache.pre[:-1]))
+    pre = [h @ W + b for h, W, b in zip(cache.inputs, net.weights, net.biases)]
+    assume(all(np.min(np.abs(p)) > 1e-3 for p in pre[:-1]))
     out = apply(net, X)
     grads, _ = backward(net, cache, 2.0 * (out - T))
     fd = net_central_diff(loss_of, net)
@@ -268,14 +268,83 @@ def test_backward_without_input_grad_keeps_parameter_grads():
     assert skipped.flat.tobytes() == full.flat.tobytes()
 
 
-def test_forward_cache_holds_preactivations():
+def test_forward_cache_holds_layer_inputs():
     rng = np.random.default_rng(14)
     net = DenseNet.init([3, 4, 2], rng)
     X = rng.normal(size=(5, 3))
     _, cache = forward(net, X)
     assert isinstance(cache, ForwardCache)
+    assert len(cache.inputs) == 2
     np.testing.assert_array_equal(cache.inputs[0], X)
-    np.testing.assert_allclose(cache.pre[0], X @ net.weights[0] + net.biases[0])
+    relu = np.maximum(X @ net.weights[0] + net.biases[0], 0.0)
+    assert cache.inputs[1].tobytes() == relu.tobytes()
+
+
+def _oracle_nets():
+    """(net, X) pairs: random nets, and nets whose first layer gives exact
+    +0.0, -0.0 (products that underflow, plus a -0.0 bias) and NaN
+    pre-activations, where a ReLU mask could differ."""
+    rng = np.random.default_rng(28)
+    for _ in range(4):
+        dims = [int(d) for d in rng.integers(1, 9, size=int(rng.integers(2, 5)))]
+        yield DenseNet.init(dims, rng), rng.normal(size=(int(rng.integers(1, 7)), dims[0]))
+    net = DenseNet.init([5, 8, 6, 3], rng)
+    W0, b0 = net.weights[0], net.biases[0]
+    W0[:, :3] *= 1e-200            # tiny x tiny underflows to +-0.0
+    W0[:, 3] = 0.0                 # exact +0.0
+    W0[:, 4:] *= 1e200             # tiny x huge stays of order one
+    b0[:3] = -0.0
+    yield net, rng.normal(size=(6, 5)) * 1e-200
+    X = rng.normal(size=(6, 5))
+    X[2, 1] = np.nan
+    yield DenseNet.init([5, 8, 6, 3], rng), X
+
+
+def test_forward_apply_backward_match_preactivation_oracle():
+    rng = np.random.default_rng(29)
+    signed_zeros = nans = 0
+    for net, X in _oracle_nets():
+        ref_out, ref_inputs, ref_pre = preactivation_forward(net, X)
+        hidden = ref_pre[:-1]
+        signed_zeros += sum(int(np.sum((p == 0.0) & np.signbit(p))) for p in hidden)
+        nans += sum(int(np.sum(np.isnan(p))) for p in hidden)
+        out, cache = forward(net, X)
+        assert out.tobytes() == ref_out.tobytes()
+        assert apply(net, X).tobytes() == ref_out.tobytes()
+        assert [h.tobytes() for h in cache.inputs] == [h.tobytes() for h in ref_inputs]
+        G = rng.normal(size=out.shape)
+        for input_grad in (True, False):
+            grads, din = backward(net, cache, G, input_grad=input_grad)
+            ref_flat, ref_din = preactivation_backward(net, ref_inputs, ref_pre, G,
+                                                       input_grad=input_grad)
+            assert grads.flat.tobytes() == ref_flat.tobytes()
+            if input_grad:
+                assert din.tobytes() == ref_din.tobytes()
+            else:
+                assert din is None and ref_din is None
+    # the built nets do reach the cases they are built for
+    assert signed_zeros > 0 and nans > 0
+
+
+def test_apply_and_forward_keep_one_array_per_layer():
+    # the debias-lowlabel encoder on its 4000-row test set
+    rng = np.random.default_rng(30)
+    net = DenseNet.init([7, 256, 256, 64], rng)
+    X = rng.normal(size=(4000, 7))
+    hidden, output, slack = 4000 * 256 * 8, 4000 * 64 * 8, 1 << 20
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(net, X)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # apply holds a layer's input and its output, never the whole pass
+    assert peak(apply) < 2 * hidden + slack
+    # forward keeps both hidden layers' outputs and the net's output
+    assert peak(forward) < 2 * hidden + output + slack
 
 
 # --------------------------------------------------------------------- adam

@@ -10,7 +10,7 @@ import pytest
 
 from rankdebias import pipeline
 from rankdebias.data import BiasedDataset, GenConfig, gen_colorpoints
-from rankdebias.nn import DenseNet, apply, make_linear_head
+from rankdebias.nn import DenseNet, apply
 from rankdebias.pipeline import (
     ErrorSet,
     ExperimentConfig,
@@ -305,7 +305,7 @@ def test_upweighted_fits_reject_bad_upweighting_before_training(monkeypatch):
     zero_up = tiny_cfg()
     zero_up.lambda_up = 0.0  # assigned after construction, past the config's own check
     enc = DenseNet.init([ds.inputs.shape[1], 16, 8], np.random.default_rng(0))
-    model = Model(enc, make_linear_head(8, ds.num_classes, np.random.default_rng(1)))
+    model = Model(enc, DenseNet.init([8, ds.num_classes], np.random.default_rng(1)))
     es = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
     duplicated = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
     duplicated.indices = np.array([1, 2, 2])
