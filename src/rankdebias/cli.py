@@ -70,6 +70,7 @@ from .pipeline import (
     finetune_semisup,
     identify_error_set,
     pretrain_biased,
+    run_jobs,
     stream,
 )
 from .spectral import (
@@ -441,6 +442,16 @@ def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
     }
 
 
+def _sweep_outcome(*args) -> dict | str:
+    """_sweep_job(*args), or the "error: ..." status of a job that diverged
+    or was rejected; any other error is a bug and propagates."""
+    try:
+        return _sweep_job(*args)
+    except (TrainingDiverged, ValueError, FloatingPointError) as exc:
+        text = str(exc).replace(",", ";").replace("\n", " ")
+        return f"error: {text}"
+
+
 def _select_config(rows: list[dict]) -> dict:
     """Model selection over grouped sweep rows: among configs whose mean
     unbiased accuracy improves on the baseline (lambda_reg = 0,
@@ -515,9 +526,12 @@ def cmd_sweep(args) -> int:
              read("seed", [base.seed], _integral)]
 
     def work(stage, manifest_hash):
+        points = list(itertools.product(*grids))
+        outcomes = run_jobs(_sweep_outcome, [(family, base, n, classes, test_n, *point)
+                                             for point in points])
         rows = []
         failures = 0
-        for r, lam, lam_up, tau, seed in itertools.product(*grids):
+        for (r, lam, lam_up, tau, seed), outcome in zip(points, outcomes):
             job_desc = {"family": family, "n": n, "classes": classes,
                         "test_n": test_n, "r": r, "lambda_reg": lam,
                         "lambda_up": lam_up, "tau": tau, "seed": seed}
@@ -526,14 +540,11 @@ def cmd_sweep(args) -> int:
                    "lambda_up": lam_up, "tau": tau, "seed": seed,
                    "conflict_acc": "", "aligned_acc": "", "unbiased_acc": "",
                    "eff_rank": "", "precision": "", "recall": "", "status": "ok"}
-            try:
-                row.update(_sweep_job(family, base, n, classes, test_n,
-                                      r, lam, lam_up, tau, seed))
-            except (TrainingDiverged, ValueError, FloatingPointError) as exc:
-                # a diverged or rejected job is a row; any other error is a bug
-                text = str(exc).replace(",", ";").replace("\n", " ")
-                row["status"] = f"error: {text}"
+            if isinstance(outcome, str):
+                row["status"] = outcome
                 failures += 1
+            else:
+                row.update(outcome)
             rows.append(row)
             print(f"[{row['status']}] r={r} lambda_reg={lam} lambda_up={lam_up} "
                   f"tau={tau} seed={seed}", flush=True)

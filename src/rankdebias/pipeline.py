@@ -16,9 +16,15 @@ adding a consumer in one stage never shifts the draws of another.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import subprocess
+import sys
 import zlib
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -191,21 +197,25 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator,
             yield idx
 
 
-def _representation_rank(encoder: DenseNet, X: np.ndarray) -> float:
-    """Mean effective rank of encoder outputs over fixed-size batches.
+def _chunk_rank(reps: np.ndarray) -> float:
+    """Mean effective rank of representations over fixed-size batches.
 
     Uses non-overlapping batches of RANK_EVAL_BATCH rows; a trailing
     partial batch is dropped when at least one full batch exists, so the
     estimate is not skewed by a tiny remainder.
     """
-    n = X.shape[0]
     ranks = []
-    for start in range(0, n, RANK_EVAL_BATCH):
-        chunk = X[start:start + RANK_EVAL_BATCH]
+    for start in range(0, reps.shape[0], RANK_EVAL_BATCH):
+        chunk = reps[start:start + RANK_EVAL_BATCH]
         if chunk.shape[0] < RANK_EVAL_BATCH and ranks:
             break
-        ranks.append(effective_rank(svd_values(apply(encoder, chunk))))
+        ranks.append(effective_rank(svd_values(chunk)))
     return float(np.mean(ranks))
+
+
+def _representation_rank(encoder: DenseNet, X: np.ndarray) -> float:
+    """Mean effective rank of the encoder's outputs on X, as _chunk_rank."""
+    return _chunk_rank(apply(encoder, X))
 
 
 # ------------------------------------------------------------- training loop
@@ -508,8 +518,8 @@ def evaluate(model: Model, test: BiasedDataset) -> MetricsReport:
     group breakdown, and the effective rank of the representations."""
     if len(test) == 0:
         raise ValueError("test set is empty")
-    pred = model.predict(test.inputs)
-    correct = pred == test.y
+    reps = apply(model.encoder, test.inputs)
+    correct = np.argmax(apply(model.head, reps), axis=1) == test.y
 
     def acc(mask) -> float:
         return 100.0 * float(correct[mask].mean()) if mask.any() else float("nan")
@@ -532,7 +542,7 @@ def evaluate(model: Model, test: BiasedDataset) -> MetricsReport:
         bias_aligned_acc=acc(test.aligned),
         unbiased_acc=100.0 * float(correct.mean()),
         group_table=table,
-        eff_rank=_representation_rank(model.encoder, test.inputs),
+        eff_rank=_chunk_rank(reps),
     )
 
 
@@ -564,6 +574,141 @@ def bias_metric(encoder: DenseNet, ds: BiasedDataset,
     if acc_y == 0.0:
         raise ValueError("target probe accuracy is zero; ratio undefined")
     return acc_b / acc_y
+
+
+# ------------------------------------------------------------ parallel jobs
+
+# each worker is a fresh interpreter: it takes the parent's sys.path, then
+# (module, qualname, jobs), from stdin, and pickles one ("ok", value) or
+# ("error", exception) per job to the stdout it was started with, stopping
+# at its first error, whose traceback it prints. Its own stdout writes go to
+# its stderr, which the parent passes on, so a print inside a job cannot
+# corrupt the results.
+_WORKER = """
+import importlib, os, pickle, sys, traceback
+results = os.fdopen(os.dup(1), "wb")
+os.dup2(2, 1)
+sys.path[:] = pickle.load(sys.stdin.buffer)
+module, qualname, jobs = pickle.load(sys.stdin.buffer)
+fn = importlib.import_module(module)
+for part in qualname.split("."):
+    fn = getattr(fn, part)
+outcomes = []
+for job in jobs:
+    try:
+        outcomes.append(("ok", fn(*job)))
+    except Exception as exc:
+        traceback.print_exc()
+        outcomes.append(("error", exc))
+        break
+pickle.dump(outcomes, results)
+results.close()
+"""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _cgroup_cpu_limit() -> int | None:
+    """The CPUs the cgroup CPU quota allows, rounded up (cgroup v2
+    cpu.max, else v1 cpu.cfs_quota_us), or None when there is no quota."""
+    try:
+        quota, period = (_CGROUP / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota, period = ((_CGROUP / "cpu" / name).read_text()
+                             for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us"))
+        except OSError:
+            return None
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:  # "max": no quota
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, capped by the cgroup CPU quota."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, _cgroup_cpu_limit() or cores)
+
+
+def _import_name(fn) -> tuple[str, str]:
+    """(module, qualname) under which a fresh interpreter imports fn."""
+    module = fn.__module__
+    if module == "__main__":
+        spec = getattr(sys.modules["__main__"], "__spec__", None)
+        if spec is None:
+            raise ValueError(f"run_jobs: {fn.__qualname__} is defined in a __main__ "
+                             "script, which a worker cannot import")
+        module = spec.name
+    found = sys.modules.get(fn.__module__)
+    for part in fn.__qualname__.split("."):
+        found = getattr(found, part, None)
+    if found is not fn:
+        raise ValueError(f"run_jobs: {fn.__qualname__} is not importable by name "
+                         f"from {module}")
+    return module, fn.__qualname__
+
+
+def run_jobs(fn, jobs) -> list:
+    """[fn(*job) for job in jobs], with the jobs spread over worker processes.
+
+    There is one worker per usable core, never more than there are jobs,
+    and with one worker the jobs run in this process. Otherwise worker k
+    is a fresh interpreter with one BLAS thread that runs jobs k::workers,
+    so fn must be importable by name and jobs and results picklable.
+    Results come back in job order, and each worker's stderr is written to
+    sys.stderr once it has finished. The first failing job in job order
+    re-raises its exception here; a worker that dies without a result
+    raises RuntimeError. No worker outlives the call.
+    """
+    jobs = list(jobs)
+    workers = min(len(jobs), _usable_cores())
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    target = _import_name(fn)
+    env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
+    procs = []
+    try:
+        for _ in range(workers):
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE, env=env))
+        for k, proc in enumerate(procs):
+            # a worker that died early shows in its exit code below
+            with contextlib.suppress(BrokenPipeError):
+                pickle.dump(sys.path, proc.stdin)
+                pickle.dump((*target, jobs[k::workers]), proc.stdin)
+                proc.stdin.flush()
+        outcomes = []
+        for proc in procs:
+            # communicate closes stdin and drains stdout and stderr together
+            data, errors = proc.communicate()
+            sys.stderr.write(errors.decode(errors="replace"))
+            outcomes.append(pickle.loads(data) if proc.returncode == 0 else proc.returncode)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.stdout.close()
+            proc.stderr.close()
+            proc.wait()
+    results = []
+    for i in range(len(jobs)):
+        done = outcomes[i % workers]
+        if isinstance(done, int):
+            raise RuntimeError(f"job worker {i % workers} exited with code {done} "
+                               "before returning its results")
+        status, value = done[i // workers]
+        if status == "error":
+            raise value
+        results.append(value)
+    return results
 
 
 def rank_trajectory(bias_ratios, make_dataset, make_testset,

@@ -4,7 +4,13 @@ Everything here is deliberately written as a second, independent route:
 finite differences instead of analytic gradients, eigendecomposition
 instead of SVD, explicit loops instead of vectorized updates. Keep it slow
 and obvious.
+
+The job functions at the end are what the run_jobs tests send to worker
+processes, which import them by name.
 """
+
+import os
+import time
 
 import numpy as np
 
@@ -228,3 +234,22 @@ def loop_augment_images(X, rng, image_shape, cfg):
     for i in range(X.shape[0]):
         out[i] = _augment_image(X[i].reshape(image_shape), rng, cfg).reshape(-1)
     return out
+
+
+# ------------------------------------------------------------ run_jobs jobs
+
+
+def echo_job(value, seconds=0.0, error=None, exit_code=None):
+    """value after sleeping seconds, unless the job raises error or ends
+    its process with exit_code. Its print must stay out of the results."""
+    time.sleep(seconds)
+    print(f"job {value!r} ran")
+    if exit_code is not None:
+        os._exit(exit_code)
+    if error is not None:
+        raise error
+    return value
+
+
+def worker_pid_and_blas_threads():
+    return os.getpid(), os.environ.get("OPENBLAS_NUM_THREADS")

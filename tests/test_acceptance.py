@@ -8,7 +8,9 @@ effects the library exists to demonstrate.
 
 Run order matters for wall-clock only; every test is independent. The
 slowest fixtures (full training runs) are module-scoped and shared
-between the tests that interpret them.
+between the tests that interpret them. Each one runs its independent
+seeds or grid points through run_jobs, so the job functions live at
+module level, where worker processes import them by name.
 """
 
 import json
@@ -45,6 +47,7 @@ from rankdebias.pipeline import (
     identify_error_set,
     pretrain_biased,
     pretrain_main,
+    run_jobs,
 )
 from rankdebias.spectral import effective_rank, rank_loss, rank_loss_grad, svd_values
 
@@ -213,26 +216,29 @@ def test_degenerate_forms_reduce_exactly(verdict):
 BIAS_RATIOS = (0.95, 0.98, 0.99, 0.995)
 
 
-@pytest.fixture(scope="module")
-def bias_sweep_runs():
-    """Plain supervised runs across the bias-ratio grid, shared by the
-    rank-trend and accuracy-trend tests. About 10 s per run."""
+def _bias_ratio_run(r: float) -> dict:
+    """One plain supervised run at bias ratio r. About 10 s."""
     cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
                            hidden_dims=(256, 256), weight_decay=3e-3, seed=0)
     test_src = gen_colorpoints(GenConfig(n=4000, classes=10, bias_ratio=1.0,
                                          seed=900, input_dim=12))
     test = make_unbiased_testset(test_src, seed=901)
+    ds = gen_colorpoints(GenConfig(n=10000, classes=10, bias_ratio=r,
+                                   seed=100, input_dim=12))
+    model, _ = erm_train(ds, replace(cfg, lambda_reg=0.0))
+    return {
+        "r": r,
+        "eff_rank": _representation_rank(model.encoder, test.inputs),
+        "unbiased_acc": 100.0 * float(np.mean(model.predict(test.inputs) == test.y)),
+    }
+
+
+@pytest.fixture(scope="module")
+def bias_sweep_runs():
+    """Plain supervised runs across the bias-ratio grid, shared by the
+    rank-trend and accuracy-trend tests."""
     t0 = time.time()
-    rows = []
-    for r in BIAS_RATIOS:
-        ds = gen_colorpoints(GenConfig(n=10000, classes=10, bias_ratio=r,
-                                       seed=100, input_dim=12))
-        model, _ = erm_train(ds, replace(cfg, lambda_reg=0.0))
-        rows.append({
-            "r": r,
-            "eff_rank": _representation_rank(model.encoder, test.inputs),
-            "unbiased_acc": 100.0 * float(np.mean(model.predict(test.inputs) == test.y)),
-        })
+    rows = run_jobs(_bias_ratio_run, [(r,) for r in BIAS_RATIOS])
     return rows, time.time() - t0
 
 
@@ -265,10 +271,8 @@ def test_unbiased_accuracy_falls_with_bias_strength(bias_sweep_runs, verdict):
 PENALTY_GRID = (0.0, 0.01, 1.0)
 
 
-@pytest.fixture(scope="module")
-def penalty_sweep_runs():
-    """Supervised runs at r = 0.99 with increasing decorrelation penalty,
-    shared by the amplification and error-set-mining tests."""
+def _penalty_run(lam: float) -> dict:
+    """One supervised run at r = 0.99 with decorrelation penalty lam."""
     cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
                            hidden_dims=(256, 256), weight_decay=1e-3, seed=0)
     test_src = gen_colorpoints(GenConfig(n=4000, classes=5, bias_ratio=1.0,
@@ -276,15 +280,19 @@ def penalty_sweep_runs():
     test = make_unbiased_testset(test_src, seed=901)
     ds = gen_colorpoints(GenConfig(n=10000, classes=5, bias_ratio=0.99,
                                    seed=100, input_dim=7))
-    out = {}
-    for lam in PENALTY_GRID:
-        model, _ = erm_train(ds, replace(cfg, lambda_reg=lam))
-        report = evaluate(model, test)
-        pred = model.predict(ds.inputs)
-        errors = ErrorSet(np.flatnonzero(pred != ds.y), pred)
-        precision, recall = error_set_quality(errors, ds)
-        out[lam] = {"report": report, "precision": precision, "recall": recall}
-    return out
+    model, _ = erm_train(ds, replace(cfg, lambda_reg=lam))
+    report = evaluate(model, test)
+    pred = model.predict(ds.inputs)
+    errors = ErrorSet(np.flatnonzero(pred != ds.y), pred)
+    precision, recall = error_set_quality(errors, ds)
+    return {"report": report, "precision": precision, "recall": recall}
+
+
+@pytest.fixture(scope="module")
+def penalty_sweep_runs():
+    """Supervised runs with increasing decorrelation penalty, shared by the
+    amplification and error-set-mining tests."""
+    return dict(zip(PENALTY_GRID, run_jobs(_penalty_run, [(lam,) for lam in PENALTY_GRID])))
 
 
 def test_rank_penalty_amplifies_bias_not_aligned_accuracy(penalty_sweep_runs, verdict):
@@ -352,27 +360,28 @@ def _arc_data(r: float, seed: int, noise: float = 0.05):
     return ds, make_unbiased_testset(src, seed=901 + seed)
 
 
+def _pipeline_arm_run(seed: int) -> tuple[float, float, float]:
+    """Conflict accuracy of the three heads on the frozen main encoder (no
+    upweight; error set from the main model; error set from the biased
+    encoder)."""
+    cfg = _wide_contrastive_cfg(seed)
+    ds, test = _arc_data(0.99, seed, noise=ARM_NOISE)
+    enc_main, _ = pretrain_main(ds, cfg)
+    enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=ARM_LAMBDA_B))
+    e_main = identify_error_set(enc_main, ds, cfg)
+    e_biased = identify_error_set(enc_biased, ds, cfg)
+    up_cfg = replace(cfg, lambda_up=ARM_LAMBDA_UP)
+    _, plain = debiased_linear_eval(enc_main, ds, None, replace(cfg, lambda_up=1.0),
+                                    test=test)
+    _, upweight = debiased_linear_eval(enc_main, ds, e_main, up_cfg, test=test)
+    _, full = debiased_linear_eval(enc_main, ds, e_biased, up_cfg, test=test)
+    return plain.bias_conflict_acc, upweight.bias_conflict_acc, full.bias_conflict_acc
+
+
 @pytest.fixture(scope="module")
 def pipeline_arm_runs():
-    """Per seed: conflict accuracy of the three heads on the frozen main
-    encoder (no upweight; error set from the main model; error set from
-    the biased encoder)."""
-    rows = []
-    for seed in PIPELINE_SEEDS:
-        cfg = _wide_contrastive_cfg(seed)
-        ds, test = _arc_data(0.99, seed, noise=ARM_NOISE)
-        enc_main, _ = pretrain_main(ds, cfg)
-        enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=ARM_LAMBDA_B))
-        e_main = identify_error_set(enc_main, ds, cfg)
-        e_biased = identify_error_set(enc_biased, ds, cfg)
-        up_cfg = replace(cfg, lambda_up=ARM_LAMBDA_UP)
-        _, plain = debiased_linear_eval(enc_main, ds, None, replace(cfg, lambda_up=1.0),
-                                        test=test)
-        _, upweight = debiased_linear_eval(enc_main, ds, e_main, up_cfg, test=test)
-        _, full = debiased_linear_eval(enc_main, ds, e_biased, up_cfg, test=test)
-        rows.append((plain.bias_conflict_acc, upweight.bias_conflict_acc,
-                     full.bias_conflict_acc))
-    return rows
+    """_pipeline_arm_run per seed."""
+    return run_jobs(_pipeline_arm_run, [(seed,) for seed in PIPELINE_SEEDS])
 
 
 def test_error_source_ordering_across_seeds(pipeline_arm_runs, verdict):
@@ -387,29 +396,31 @@ def test_error_source_ordering_across_seeds(pipeline_arm_runs, verdict):
     )
 
 
+def _semisup_run(seed: int) -> tuple[float, float]:
+    """Conflict accuracy of the pipeline with 10% labels (pretraining stays
+    unsupervised) and of a supervised model trained from scratch on the
+    same labeled subset."""
+    cfg = replace(_contrastive_cfg(seed),
+                  finetune_epochs=SEMI_FINETUNE_EPOCHS)
+    ds, test = _arc_data(SEMI_R, seed)
+    labeled, _ = label_fraction_split(ds, 0.10, seed=777 + seed)
+    enc_main, _ = pretrain_main(ds, cfg)
+    enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=SEMI_LAMBDA_B))
+    errors = identify_error_set(enc_biased, labeled, cfg)
+    up_cfg = replace(cfg, lambda_up=SEMI_LAMBDA_UP)
+    model, _ = debiased_linear_eval(enc_main, labeled, errors, up_cfg, test=test)
+    _, tuned = finetune_semisup(model, labeled, errors, up_cfg, test=test)
+    scratch_cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
+                                   hidden_dims=(256, 256), weight_decay=1e-3,
+                                   seed=seed)
+    scratch, _ = erm_train(labeled, scratch_cfg)
+    return tuned.bias_conflict_acc, evaluate(scratch, test).bias_conflict_acc
+
+
 @pytest.fixture(scope="module")
 def semisup_runs():
-    """Pipeline with 10% labels (pretraining stays unsupervised) against a
-    supervised model trained from scratch on the same labeled subset."""
-    rows = []
-    for seed in PIPELINE_SEEDS:
-        cfg = replace(_contrastive_cfg(seed),
-                      finetune_epochs=SEMI_FINETUNE_EPOCHS)
-        ds, test = _arc_data(SEMI_R, seed)
-        labeled, _ = label_fraction_split(ds, 0.10, seed=777 + seed)
-        enc_main, _ = pretrain_main(ds, cfg)
-        enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=SEMI_LAMBDA_B))
-        errors = identify_error_set(enc_biased, labeled, cfg)
-        up_cfg = replace(cfg, lambda_up=SEMI_LAMBDA_UP)
-        model, _ = debiased_linear_eval(enc_main, labeled, errors, up_cfg, test=test)
-        _, tuned = finetune_semisup(model, labeled, errors, up_cfg, test=test)
-        scratch_cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
-                                       hidden_dims=(256, 256), weight_decay=1e-3,
-                                       seed=seed)
-        scratch, _ = erm_train(labeled, scratch_cfg)
-        rows.append((tuned.bias_conflict_acc,
-                     evaluate(scratch, test).bias_conflict_acc))
-    return rows
+    """_semisup_run per seed."""
+    return run_jobs(_semisup_run, [(seed,) for seed in PIPELINE_SEEDS])
 
 
 def test_low_label_pipeline_beats_training_from_scratch(semisup_runs, verdict):
@@ -423,25 +434,31 @@ def test_low_label_pipeline_beats_training_from_scratch(semisup_runs, verdict):
     )
 
 
+def _bias_metric_run(seed: int) -> list[float]:
+    """Probe-accuracy ratio of an encoder pretrained at each penalty of
+    METRIC_GRID. Pretraining data has independent shortcut and label so
+    the two probes measure separate features."""
+    cfg = _contrastive_cfg(seed)
+    ds = gen_colorpoints(GenConfig(n=10000, classes=5, bias_ratio=METRIC_R,
+                                   noise=METRIC_NOISE, seed=100 + seed,
+                                   input_dim=7))
+    probe_src = gen_colorpoints(GenConfig(n=4000, classes=5, bias_ratio=1.0,
+                                          noise=METRIC_NOISE, seed=950 + seed,
+                                          input_dim=7))
+    probe = make_unbiased_testset(probe_src, seed=951 + seed)
+    ratios = []
+    for lam in METRIC_GRID:
+        enc, _ = pretrain_biased(ds, replace(cfg, lambda_reg=lam))
+        ratios.append(bias_metric(enc, probe, cfg))
+    return ratios
+
+
 @pytest.fixture(scope="module")
 def bias_metric_grid():
-    """Mean probe-accuracy ratio of pretrained encoders over the penalty
-    grid. Pretraining data has independent shortcut and label so the two
-    probes measure separate features."""
-    means = {lam: [] for lam in METRIC_GRID}
-    for seed in PIPELINE_SEEDS:
-        cfg = _contrastive_cfg(seed)
-        ds = gen_colorpoints(GenConfig(n=10000, classes=5, bias_ratio=METRIC_R,
-                                       noise=METRIC_NOISE, seed=100 + seed,
-                                       input_dim=7))
-        probe_src = gen_colorpoints(GenConfig(n=4000, classes=5, bias_ratio=1.0,
-                                              noise=METRIC_NOISE, seed=950 + seed,
-                                              input_dim=7))
-        probe = make_unbiased_testset(probe_src, seed=951 + seed)
-        for lam in METRIC_GRID:
-            enc, _ = pretrain_biased(ds, replace(cfg, lambda_reg=lam))
-            means[lam].append(bias_metric(enc, probe, cfg))
-    return {lam: float(np.mean(v)) for lam, v in means.items()}
+    """Mean probe-accuracy ratio over the seeds, per penalty."""
+    rows = run_jobs(_bias_metric_run, [(seed,) for seed in PIPELINE_SEEDS])
+    return {lam: float(np.mean([row[i] for row in rows]))
+            for i, lam in enumerate(METRIC_GRID)}
 
 
 def test_bias_metric_rises_with_penalty_weight(bias_metric_grid, verdict):

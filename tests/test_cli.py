@@ -5,12 +5,15 @@ import errno
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankdebias import cli
+from rankdebias import cli, pipeline
 from rankdebias.cli import main
 from rankdebias.data import BiasedDataset, write_idx_images, write_idx_labels
 from rankdebias.nn import load_checkpoint
@@ -467,6 +470,48 @@ def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
     (tmp_path / "sweep.json").write_text(json.dumps({"family": "erm", "seed": [0]}))
     with pytest.raises(TypeError, match="broken job"):
         run(["sweep", "--spec", tmp_path / "sweep.json", "--out", tmp_path / "sw"])
+
+
+def four_job_sweep(tmp_path) -> Path:
+    """A sweep spec of four jobs, two of which are refused by the config."""
+    spec = {
+        "family": "erm", "n": 240, "classes": 4, "test_n": 240,
+        "r": [0.9], "lambda_reg": [0.0, -1.0], "seed": [0, 1],
+        "config": {"epochs": 2, "warmup_epochs": 0, "batch_size": 64,
+                   "latent_dim": 8, "hidden_dims": [16, 16]},
+    }
+    (tmp_path / "sweep.json").write_text(json.dumps(spec))
+    return tmp_path / "sweep.json"
+
+
+def sweep_bytes(out: Path) -> tuple[bytes, bytes]:
+    return (out / "sweep.csv").read_bytes(), (out / "selection.json").read_bytes()
+
+
+def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    spec = four_job_sweep(tmp_path)
+    status_lines = []
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: workers)
+        assert run(["sweep", "--spec", spec, "--out", tmp_path / f"w{workers}"]) == 1
+        out = capsys.readouterr().out
+        status_lines.append([line for line in out.splitlines() if line.startswith("[")])
+    assert sweep_bytes(tmp_path / "w1") == sweep_bytes(tmp_path / "w2")
+    assert status_lines[0] == status_lines[1] and len(status_lines[0]) == 4
+
+
+def test_sweep_through_python_m_gives_the_same_bytes(tmp_path, capsys):
+    spec = four_job_sweep(tmp_path)
+    assert run(["sweep", "--spec", spec, "--out", tmp_path / "inproc"]) == 1
+    capsys.readouterr()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "rankdebias.cli", "sweep", "--spec",
+                           str(spec), "--out", str(tmp_path / "child")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1, done.stderr
+    assert sweep_bytes(tmp_path / "inproc") == sweep_bytes(tmp_path / "child")
 
 
 def test_sweep_missing_spec_exits_2(tmp_path, capsys):

@@ -3,6 +3,9 @@ degenerate identities and the metric definitions. Training quality is
 exercised separately by the acceptance suite; everything here runs on
 deliberately tiny configurations."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,8 +29,11 @@ from rankdebias.pipeline import (
     pretrain_biased,
     pretrain_main,
     rank_trajectory,
+    run_jobs,
     stream,
 )
+
+import helpers
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*groups are empty")
 
@@ -530,3 +536,119 @@ def test_rank_trajectory_rows_and_determinism():
     assert all(np.isfinite(row["eff_rank"]) for row in rows)
     again = rank_trajectory([0.5, 0.9], make_ds, make_test, cfg)
     assert rows == again
+
+
+# ------------------------------------------------------------------ run_jobs
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """The pids of the processes started during the test, which sees two
+    usable cores unless it patches _usable_cores again."""
+    pids = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_run_jobs_returns_results_in_job_order(spawned, capsys):
+    # worker 1 finishes both its jobs while worker 0 still sleeps
+    jobs = [("a", 0.5), ("b", 0.0), ("c", 0.2), ("d", 0.0)]
+    assert run_jobs(helpers.echo_job, jobs) == ["a", "b", "c", "d"]
+    assert len(spawned) == 2
+    assert_reaped(spawned)
+    # the jobs' prints reach this process's sys.stderr, worker by worker
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["job 'a' ran", "job 'c' ran",
+                                         "job 'b' ran", "job 'd' ran"]
+
+
+def test_run_jobs_workers_run_one_blas_thread_each(spawned):
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    results = run_jobs(helpers.worker_pid_and_blas_threads, [(), (), ()])
+    assert [threads for _, threads in results] == ["1", "1", "1"]
+    # jobs 0 and 2 share worker 0
+    assert results[0][0] == results[2][0] == spawned[0]
+    assert results[1][0] == spawned[1]
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+    assert_reaped(spawned)
+
+
+def test_run_jobs_reraises_the_first_failure_in_job_order(spawned, capsys):
+    # job 2 fails first in time, job 1 first in job order
+    jobs = [("a",), ("b", 0.3, TypeError("b broke")), ("c", 0.0, ValueError("c broke"))]
+    with pytest.raises(TypeError, match="b broke"):
+        run_jobs(helpers.echo_job, jobs)
+    assert len(spawned) == 2
+    assert_reaped(spawned)
+    # both workers' tracebacks were passed on
+    err = capsys.readouterr().err
+    assert "TypeError: b broke" in err and "ValueError: c broke" in err
+
+
+def test_run_jobs_names_the_exit_code_of_a_dead_worker(spawned):
+    with pytest.raises(RuntimeError, match="code 3"):
+        run_jobs(helpers.echo_job, [("a",), ("b", 0.0, None, 3)])
+    assert_reaped(spawned)
+
+
+def test_run_jobs_stops_its_workers_when_a_job_cannot_be_sent(spawned):
+    # worker 0 gets its job; worker 1's cannot be pickled and never arrives
+    with pytest.raises(TypeError, match="pickle"):
+        run_jobs(helpers.echo_job, [("a", 5.0), ((i for i in ()),)])
+    assert len(spawned) == 2
+    assert_reaped(spawned)
+
+
+def test_run_jobs_refuses_functions_a_worker_cannot_import(spawned, monkeypatch):
+    monkeypatch.setattr(helpers.echo_job, "__module__", "__main__")
+    monkeypatch.setattr(sys.modules["__main__"], "__spec__", None, raising=False)
+    with pytest.raises(ValueError, match="__main__"):
+        run_jobs(helpers.echo_job, [("a",), ("b",)])
+    with pytest.raises(ValueError, match="not importable"):
+        run_jobs(lambda x: x, [(1,), (2,)])
+    assert spawned == []
+    # one job, or one usable core, runs in this process, where any callable will do
+    assert run_jobs(lambda x: x, [(1,)]) == [1]
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
+    assert run_jobs(lambda x: x + 1, [(1,), (2,)]) == [2, 3]
+    assert spawned == []
+
+
+@pytest.mark.parametrize("files, limit", [
+    ({}, None),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+])
+def test_cgroup_cpu_limit_reads_the_quota(tmp_path, monkeypatch, files, limit):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(pipeline, "_CGROUP", tmp_path)
+    assert pipeline._cgroup_cpu_limit() == limit
+
+
+def test_usable_cores_is_capped_by_the_cgroup_quota(monkeypatch):
+    monkeypatch.setattr(pipeline, "_cgroup_cpu_limit", lambda: None)
+    cores = pipeline._usable_cores()
+    assert cores >= 1
+    monkeypatch.setattr(pipeline, "_cgroup_cpu_limit", lambda: 1)
+    assert pipeline._usable_cores() == 1
+    monkeypatch.setattr(pipeline, "_cgroup_cpu_limit", lambda: cores + 5)
+    assert pipeline._usable_cores() == cores
