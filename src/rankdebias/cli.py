@@ -10,9 +10,10 @@ train_log.csv and no manifest. Rerunning with the same arguments
 reproduces every artifact byte for byte (manifest wall-clock metadata
 aside).
 
-Exit codes: 0 success, 1 runtime failure (for example a diverged run),
-2 usage or input errors. Relative --out paths resolve under the
-RANKDEBIAS_OUT environment variable when it is set.
+Exit codes: 0 success, 1 runtime failure (a diverged run, a failed commit
+into --out), 2 usage or input errors, 143 SIGTERM (after the staging
+directory is removed and the workers are stopped). Relative --out paths
+resolve under the RANKDEBIAS_OUT environment variable when it is set.
 
 Config precedence: command-line flags override values from --config FILE
 (a JSON object of ExperimentConfig fields), which override the dataclass
@@ -28,12 +29,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
-from dataclasses import asdict, fields, replace
+import threading
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from .data import (
     BiasedDataset,
     GenConfig,
     check_bias_ratio,
+    check_fields,
     cmnist_from_idx,
     gen_colorpoints,
     label_fraction_split,
@@ -109,13 +112,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + f.name.replace("_", "-"), default=None, **kind)
 
 
-def _config_fields(values, where: str) -> dict:
-    """values, checked to be a JSON object of ExperimentConfig fields."""
+def _config_fields(values, cls, where: str) -> dict:
+    """values, checked to be a JSON object holding only fields of dataclass cls."""
     if not isinstance(values, dict):
         raise ValueError(f"{where} must hold a JSON object")
-    unknown = set(values) - set(ExperimentConfig.__dataclass_fields__)
+    unknown = set(values) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ValueError(f"unknown config fields in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
     return values
 
 
@@ -126,7 +129,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         path = Path(args.config)
         if not path.is_file():
             raise FileNotFoundError(f"no config file at {path}")
-        values.update(_config_fields(json.loads(path.read_text()), f"config file {path}"))
+        values.update(_config_fields(json.loads(path.read_text()), ExperimentConfig,
+                                     f"config file {path}"))
     for f in fields(ExperimentConfig):
         if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)
@@ -177,7 +181,8 @@ def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
     inside out that hash_path skips, and returns the exit code (None for
     0). The run is then committed: the old manifest.json is moved out of
     out first, each staged file replaces its namesake, and the new
-    manifest.json comes last.
+    manifest.json comes last. An OSError there raises RuntimeError
+    naming out; the files already moved stay moved.
     If work raises TrainingDiverged and log_columns is given, only the
     partial train_log.csv is committed and the exit code is 1. Any other
     error leaves the files in out as they were.
@@ -199,15 +204,18 @@ def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
                   file=sys.stderr)
             manifest, code = None, 1
         staged = sorted(stage.iterdir())
-        # a rename, so a failure here still leaves out as it was
-        if (out / MANIFEST_NAME).exists():
-            os.replace(out / MANIFEST_NAME, stage / MANIFEST_NAME)
-        for path in staged:
-            os.replace(path, out / path.name)
-        if manifest is not None:
-            manifest.wall_clock = finish_clock(clock)
-            write_manifest(stage, manifest)
-            os.replace(stage / MANIFEST_NAME, out / MANIFEST_NAME)
+        try:
+            # a rename, so a failure here still leaves out as it was
+            if (out / MANIFEST_NAME).exists():
+                os.replace(out / MANIFEST_NAME, stage / MANIFEST_NAME)
+            for path in staged:
+                os.replace(path, out / path.name)
+            if manifest is not None:
+                manifest.wall_clock = finish_clock(clock)
+                write_manifest(stage, manifest)
+                os.replace(stage / MANIFEST_NAME, out / MANIFEST_NAME)
+        except OSError as exc:
+            raise RuntimeError(f"could not commit the run into {out}: {exc}") from exc
         return code
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -386,22 +394,41 @@ def cmd_spectrum(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
-# every key a sweep spec may hold; each of r through seed is a grid (a
-# non-empty list)
-SWEEP_KEYS = ("family", "n", "classes", "test_n", "r", "lambda_reg", "lambda_up",
-              "tau", "seed", "config")
-SWEEP_COLUMNS = [
-    "config_hash", "r", "lambda_reg", "lambda_up", "tau", "seed",
-    "conflict_acc", "aligned_acc", "unbiased_acc", "eff_rank",
-    "precision", "recall", "status",
-]
+@dataclass(kw_only=True)
+class SweepSpec:
+    """The keys of a sweep spec file: a job per point of the grids r through
+    seed (non-empty lists), each on n training and test_n test rows. A
+    spec file leaving out lambda_reg, lambda_up, tau or seed gets the value
+    of its config (ExperimentConfig fields) as that grid."""
+
+    family: str = "erm"
+    n: int = 10000
+    classes: int = 5
+    test_n: int = 4000
+    r: tuple[float, ...] = (0.99,)
+    lambda_reg: tuple[float, ...]
+    lambda_up: tuple[float, ...]
+    tau: tuple[float, ...]
+    seed: tuple[int, ...]
+    config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.family not in ("erm", "pipeline"):
+            raise ValueError(f"unknown sweep family {self.family!r}")
+        # the bounds GenConfig applies in every job, checked before any runs
+        check_fields(self, {"n": 1, "classes": 2, "test_n": 1})
+        for name in SWEEP_GRIDS:
+            grid = getattr(self, name)
+            if not grid:
+                raise ValueError(f"{name} must be a non-empty list, got {grid!r}")
+            # 1 and 1.0 must give the same config_hash
+            setattr(self, name, tuple(int(x) if name == "seed" else float(x) for x in grid))
 
 
-def _integral(value) -> int:
-    """int(value), rejecting a value that int() would change (2.5, "3", True)."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+SWEEP_GRIDS = ("r", "lambda_reg", "lambda_up", "tau", "seed")
+SWEEP_METRICS = ("conflict_acc", "aligned_acc", "unbiased_acc", "eff_rank",
+                 "precision", "recall")
+SWEEP_COLUMNS = ["config_hash", *SWEEP_GRIDS, *SWEEP_METRICS, "status"]
 
 
 def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
@@ -432,14 +459,8 @@ def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
         es = identify_error_set(biased_enc, ds, cfg)
         _, report = debiased_linear_eval(main_enc, ds, es, cfg, test=test)
         precision, recall = report.precision, report.recall
-    return {
-        "conflict_acc": report.bias_conflict_acc,
-        "aligned_acc": report.bias_aligned_acc,
-        "unbiased_acc": report.unbiased_acc,
-        "eff_rank": report.eff_rank,
-        "precision": precision,
-        "recall": recall,
-    }
+    return dict(zip(SWEEP_METRICS, (report.bias_conflict_acc, report.bias_aligned_acc,
+                                    report.unbiased_acc, report.eff_rank, precision, recall)))
 
 
 def _sweep_outcome(*args) -> dict | str:
@@ -489,73 +510,38 @@ def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise FileNotFoundError(f"no sweep spec file at {spec_path}")
-    spec = json.loads(spec_path.read_text())
-    if not isinstance(spec, dict):
-        raise ValueError(f"sweep spec {spec_path} must hold a JSON object")
-    unknown = set(spec) - set(SWEEP_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys in sweep spec {spec_path}: {sorted(unknown)}")
-    family = spec.get("family", "erm")
-    if family not in ("erm", "pipeline"):
-        raise ValueError(f"unknown sweep family {family!r}")
-    base = ExperimentConfig(**_config_fields(spec.get("config", {}),
+    values = _config_fields(json.loads(spec_path.read_text()), SweepSpec,
+                            f"sweep spec {spec_path}")
+    base = ExperimentConfig(**_config_fields(values.get("config", {}), ExperimentConfig,
                                              f"config of sweep spec {spec_path}"))
-
-    def read(key, default, cast, grid=True):
-        # checked here, as the spec is written verbatim into the manifest,
-        # where NaN or Infinity would not be valid JSON
-        value = spec.get(key, default)
-        try:
-            if grid and not (isinstance(value, list) and value):
-                raise TypeError
-            items = [cast(x) for x in (value if grid else [value])]
-            if not all(math.isfinite(x) for x in items):
-                raise ValueError
-            return items if grid else items[0]
-        except (TypeError, ValueError, OverflowError):
-            kind = "integers" if cast is _integral else "finite numbers"
-            what = f"a non-empty list of {kind}" if grid else "an integer"
-            raise ValueError(f"sweep spec {spec_path}: {key} must be {what}, "
-                             f"got {value!r}") from None
-
-    n = read("n", 10000, _integral, grid=False)
-    classes = read("classes", 5, _integral, grid=False)
-    test_n = read("test_n", 4000, _integral, grid=False)
-    grids = [read("r", [0.99], float), read("lambda_reg", [base.lambda_reg], float),
-             read("lambda_up", [base.lambda_up], float), read("tau", [base.tau], float),
-             read("seed", [base.seed], _integral)]
+    spec = SweepSpec(**{**{name: [getattr(base, name)] for name in SWEEP_GRIDS[1:]}, **values})
+    fixed = {name: getattr(spec, name) for name in ("family", "n", "classes", "test_n")}
 
     def work(stage, manifest_hash):
-        points = list(itertools.product(*grids))
-        outcomes = run_jobs(_sweep_outcome, [(family, base, n, classes, test_n, *point)
-                                             for point in points])
+        points = list(itertools.product(*(getattr(spec, name) for name in SWEEP_GRIDS)))
+        outcomes = run_jobs(_sweep_outcome, [(spec.family, base, spec.n, spec.classes,
+                                              spec.test_n, *point) for point in points])
         rows = []
-        failures = 0
-        for (r, lam, lam_up, tau, seed), outcome in zip(points, outcomes):
-            job_desc = {"family": family, "n": n, "classes": classes,
-                        "test_n": test_n, "r": r, "lambda_reg": lam,
-                        "lambda_up": lam_up, "tau": tau, "seed": seed}
-            config_hash = RunManifest("sweep-job", job_desc, {}, seed).content_hash()[:16]
-            row = {"config_hash": config_hash, "r": r, "lambda_reg": lam,
-                   "lambda_up": lam_up, "tau": tau, "seed": seed,
-                   "conflict_acc": "", "aligned_acc": "", "unbiased_acc": "",
-                   "eff_rank": "", "precision": "", "recall": "", "status": "ok"}
-            if isinstance(outcome, str):
-                row["status"] = outcome
-                failures += 1
-            else:
-                row.update(outcome)
+        for point, outcome in zip(points, outcomes):
+            grid = dict(zip(SWEEP_GRIDS, point))
+            config_hash = RunManifest("sweep-job", {**fixed, **grid}, {},
+                                      grid["seed"]).content_hash()[:16]
+            failed = isinstance(outcome, str)
+            row = {"config_hash": config_hash, **grid,
+                   **(dict.fromkeys(SWEEP_METRICS, "") if failed else outcome),
+                   "status": outcome if failed else "ok"}
             rows.append(row)
-            print(f"[{row['status']}] r={r} lambda_reg={lam} lambda_up={lam_up} "
-                  f"tau={tau} seed={seed}", flush=True)
+            print(f"[{row['status']}] " + " ".join(f"{k}={v}" for k, v in grid.items()),
+                  flush=True)
 
+        failures = sum(row["status"] != "ok" for row in rows)
         _write_csv(stage / "sweep.csv", SWEEP_COLUMNS,
                    [[row[c] for c in SWEEP_COLUMNS] for row in rows])
-        write_json(stage / "selection.json", {"family": family, **_select_config(rows)})
+        write_json(stage / "selection.json", {"family": spec.family, **_select_config(rows)})
         print(f"wrote {len(rows)} rows to {args.out / 'sweep.csv'} ({failures} failed)")
         return 1 if failures else 0
 
-    return _run(args.out, "sweep", spec, base.seed, {"spec": args.spec}, work)
+    return _run(args.out, "sweep", values, base.seed, {"spec": args.spec}, work)
 
 
 # -------------------------------------------------------------------- main
@@ -627,9 +613,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    # an ordinary exit, so _run removes its stage and run_jobs stops its workers
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # only the main thread may set a handler; the caller's is restored
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal) if on_main else None
     try:
         return args.func(args)
     except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
@@ -638,6 +632,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -175,15 +175,15 @@ def _read_inputs(path: Path) -> np.ndarray:
 
 def check_fields(cfg, lowest: dict) -> None:
     """Check every field of the config dataclass cfg against its annotation,
-    naming the field: int, float and tuple[int, ...] fields must hold
-    numbers of that kind (never a bool or a string), floats must be
-    finite, and a field named in lowest must be at least that value (each
-    item of a tuple)."""
+    naming the field: int, float, tuple[int, ...] and tuple[float, ...]
+    fields must hold numbers of that kind (never a bool or a string),
+    floats must be finite, and a field named in lowest must be at least
+    that value (each item of a tuple). str and dict fields are skipped."""
     for f in fields(cfg):
-        if f.type == "str":
+        if f.type in ("str", "dict"):
             continue
         value = getattr(cfg, f.name)
-        kind = numbers.Real if f.type == "float" else numbers.Integral
+        kind = numbers.Real if "float" in f.type else numbers.Integral
         items = value if f.type.startswith("tuple") else [value]
         if (not isinstance(items, (list, tuple))
                 or any(isinstance(v, bool) or not isinstance(v, kind) for v in items)):

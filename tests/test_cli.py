@@ -1,12 +1,16 @@
 """End-to-end checks of the command-line layer: artifact layout, exit
 codes, rerun byte-identity, and the flag/config/default precedence."""
 
+import contextlib
 import errno
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -252,7 +256,7 @@ def test_failed_rerun_leaves_a_completed_out_byte_identical(ws, tmp_path, monkey
     assert snapshot(out) == before
 
 
-def test_failed_commit_leaves_a_completed_out_byte_identical(ws, tmp_path, monkeypatch):
+def test_failed_commit_leaves_a_completed_out_byte_identical(ws, tmp_path, monkeypatch, capsys):
     # as when the staging directory sits on another filesystem than --out
     out = tmp_path / "p"
     pretrain = ["pretrain", "--data", ws / "ds", "--role", "main", "--out", out, *NET]
@@ -263,10 +267,43 @@ def test_failed_commit_leaves_a_completed_out_byte_identical(ws, tmp_path, monke
         raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), str(src))
 
     monkeypatch.setattr(os, "replace", cross_device)
-    with pytest.raises(OSError) as info:
-        run([*pretrain, "--seed", 6])
-    assert info.value.errno == errno.EXDEV
+    capsys.readouterr()
+    assert run([*pretrain, "--seed", 6]) == 1
+    assert os.strerror(errno.EXDEV) in capsys.readouterr().err
     assert snapshot(out) == before
+
+
+def test_failed_commit_exits_1_naming_out_at_every_rename(ws, tmp_path, monkeypatch, capsys):
+    # no rollback yet: only the exit code, the message and the stage's removal
+    out = tmp_path / "e"
+    erm = ["erm", "--data", ws / "ds", "--out", out, *NET]
+    replace = os.replace
+    calls = []
+
+    def run_failing_rename(k):
+        """run(erm) with its k-th os.replace failing (none for k = 0)."""
+        def fail_kth(src, dst):
+            calls.append(src)
+            if len(calls) == k:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), str(src))
+            replace(src, dst)
+
+        calls.clear()
+        monkeypatch.setattr(os, "replace", fail_kth)
+        return run(erm)
+
+    assert run(erm) == 0
+    assert run_failing_rename(0) == 0
+    renames = len(calls)
+    # each artifact, the old manifest out and the new one in
+    assert renames == len(list(out.iterdir())) + 1
+    for k in range(1, renames + 1):
+        assert run_failing_rename(0) == 0
+        capsys.readouterr()
+        assert run_failing_rename(k) == 1, k
+        err = capsys.readouterr().err
+        assert f"into {out}" in err and "Traceback" not in err, k
+        assert not list(out.glob(".stage-*")), k
 
 
 def test_run_stages_inside_out_and_leaves_its_parent_alone(ws, tmp_path, monkeypatch):
@@ -514,6 +551,82 @@ def test_sweep_through_python_m_gives_the_same_bytes(tmp_path, capsys):
     assert sweep_bytes(tmp_path / "inproc") == sweep_bytes(tmp_path / "child")
 
 
+def test_integral_grid_values_give_the_bytes_of_their_floats(tmp_path, capsys):
+    spec = {"family": "erm", "n": 240, "classes": 4, "test_n": 240, "seed": [0],
+            "config": {"epochs": 2, "warmup_epochs": 0, "batch_size": 64,
+                       "latent_dim": 8, "hidden_dims": [16, 16]}}
+    spellings = {"ints": {"r": [1], "lambda_reg": [0, 0.5], "lambda_up": [4], "tau": [1]},
+                 "floats": {"r": [1.0], "lambda_reg": [0.0, 0.5], "lambda_up": [4.0],
+                            "tau": [1.0]}}
+    for name, grids in spellings.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**spec, **grids}))
+        assert run(["sweep", "--spec", tmp_path / f"{name}.json", "--out", tmp_path / name]) == 0
+    capsys.readouterr()
+    assert sweep_bytes(tmp_path / "ints") == sweep_bytes(tmp_path / "floats")
+
+
+def test_sigterm_stops_the_workers_and_removes_the_stage(tmp_path):
+    children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+    if not children.exists():
+        pytest.skip("needs /proc/<pid>/task/<pid>/children to find the workers")
+    if pipeline._usable_cores() < 2:
+        pytest.skip("needs 2 usable cores to start 2 workers")
+    # four jobs of several seconds each, so both workers are mid-job
+    spec = {"family": "erm", "n": 4000, "classes": 4, "test_n": 240, "seed": [0, 1, 2, 3],
+            "config": {"epochs": 300, "warmup_epochs": 0, "batch_size": 64,
+                       "latent_dim": 8, "hidden_dims": [64, 64]}}
+    (tmp_path / "slow.json").write_text(json.dumps(spec))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "rankdebias.cli", "sweep", "--spec",
+                             str(tmp_path / "slow.json"), "--out", str(tmp_path / "sw")],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(pid) for pid in
+                       Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()]
+        assert len(workers) == 2, workers
+        time.sleep(1.0)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 143, err
+        deadline = time.monotonic() + 5
+        while any(Path(f"/proc/{pid}").exists() for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived its parent"
+            time.sleep(0.05)
+        assert not list((tmp_path / "sw").glob(".stage-*"))
+    finally:
+        proc.kill()
+        proc.communicate()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_main_restores_the_callers_sigterm_handler(tmp_path, capsys):
+    def callers(signum, frame):
+        pass
+
+    argv = ["sweep", "--spec", tmp_path / "none.json", "--out", tmp_path / "sw"]
+    previous = signal.signal(signal.SIGTERM, callers)
+    try:
+        assert run(argv) == 2
+        assert signal.getsignal(signal.SIGTERM) is callers
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    # a handler can only be set from the main thread, so none is set here
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(run(argv)))
+    thread.start()
+    thread.join(timeout=30)
+    assert codes == [2]
+
+
 def test_sweep_missing_spec_exits_2(tmp_path, capsys):
     rc = run(["sweep", "--spec", tmp_path / "none.json", "--out", tmp_path / "sw"])
     assert rc == 2
@@ -579,16 +692,24 @@ def test_config_file_unknown_field_exits_2(ws, tmp_path, capsys):
         ("sweep", {"config": {"epochs": "3"}}, "epochs"),
         ("sweep", {"config": {"tau": float("nan")}}, "tau"),
         ("sweep", [1, 2], "bad.json"),
-        ("sweep", {"r": 0.9}, "r must be a non-empty list"),
+        ("sweep", {"r": 0.9}, "r must be real"),
         ("sweep", {"r": []}, "r must be a non-empty list"),
-        ("sweep", {"seed": ["x"]}, "seed must be a non-empty list"),
-        ("sweep", {"n": [100]}, "n must be an integer"),
-        ("sweep", {"classes": 4.9}, "classes must be an integer"),
-        ("sweep", {"seed": [0, 1.5]}, "seed must be a non-empty list"),
-        ("sweep", {"tau": [0.07, float("nan")]}, "tau must be a non-empty list"),
-        ("sweep", {"r": [float("inf")]}, "r must be a non-empty list"),
-        ("sweep", {"n": float("inf")}, "n must be an integer"),
+        ("sweep", {"seed": ["x"]}, "seed must be integral"),
+        ("sweep", {"n": [100]}, "n must be integral"),
+        ("sweep", {"classes": 4.9}, "classes must be integral"),
+        ("sweep", {"seed": [0, 1.5]}, "seed must be integral"),
+        ("sweep", {"tau": [0.07, float("nan")]}, "tau must be finite"),
+        ("sweep", {"r": [float("inf")]}, "r must be finite"),
+        ("sweep", {"n": float("inf")}, "n must be integral"),
         ("sweep", {"lamda_reg": [0.5]}, "lamda_reg"),
+        ("sweep", {"n": 0}, "n must be >= 1"),
+        ("sweep", {"classes": 1}, "classes must be >= 2"),
+        ("sweep", {"test_n": 0}, "test_n must be >= 1"),
+        ("sweep", {"n": 240.0}, "n must be integral"),
+        ("sweep", {"r": ["0.9"]}, "r must be real"),
+        ("sweep", {"lambda_reg": [True]}, "lambda_reg must be real"),
+        ("sweep", {"r": None}, "r must be real"),
+        ("sweep", {"lambda_reg": None}, "lambda_reg must be real"),
     ]
     cfg_file = tmp_path / "bad.json"
     for command, contents, named in cases:

@@ -13,7 +13,7 @@ import pytest
 
 from rankdebias import pipeline
 from rankdebias.data import BiasedDataset, GenConfig, gen_colorpoints
-from rankdebias.nn import DenseNet, apply
+from rankdebias.nn import DenseNet, apply, forward
 from rankdebias.pipeline import (
     ErrorSet,
     ExperimentConfig,
@@ -380,6 +380,79 @@ def test_finetune_rejects_stale_error_set():
     stale = ErrorSet(np.array([0]), np.zeros(len(ds) + 5, dtype=np.int64))
     with pytest.raises(ValueError, match="error set built for"):
         finetune_semisup(model, ds, stale, cfg)
+
+
+# ------------------------------------------------------- whole-step oracle
+
+
+class _FirstStepTaken(Exception):
+    pass
+
+
+def first_step(monkeypatch, train) -> dict:
+    """What _fit's first step inside train() sees: the nets before the step,
+    the batch indices, the rows fed to the first net (augmented views
+    included), the objective and the flat_grads handed to the optimizer,
+    which stops the training."""
+    seen = {}
+    fit = pipeline._fit
+
+    def spy_fit(nets, rows, epochs, objective, opt, *args):
+        def spy_rows(idx):
+            seen["idx"], seen["rows"] = idx, rows(idx)
+            return seen["rows"]
+
+        seen["nets"], seen["objective"] = [net.copy() for net in nets], objective
+        return fit(nets, spy_rows, epochs, objective, opt, *args)
+
+    def stop(params, flat_grads, *args, **kwargs):
+        seen["grads"] = [g.copy() for g in flat_grads]
+        raise _FirstStepTaken
+
+    monkeypatch.setattr(pipeline, "_fit", spy_fit)
+    monkeypatch.setattr(pipeline, "adam_step", stop)
+    monkeypatch.setattr(pipeline, "sgd_momentum_step", stop)
+    with pytest.raises(_FirstStepTaken):
+        train()
+    return seen
+
+
+def step_objective(seen) -> float:
+    h = seen["rows"]
+    outs = []
+    for net in seen["nets"]:
+        h, _ = forward(net, h)
+        outs.append(h)
+    return seen["objective"](seen["idx"], outs)[0]
+
+
+@pytest.mark.parametrize("case", ["erm", "pretrain", "upweighted-head"])
+def test_first_step_gradients_match_central_differences(monkeypatch, case):
+    # the whole step: chained backward, the rank term's extra gradient on
+    # the first net's output, and the upweighted loss
+    cfg = tiny_cfg(lambda_reg=0.5, lambda_up=4.0, batch_size=8, hidden_dims=(5,),
+                   latent_dim=4, proj_hidden=5, proj_dim=3)
+    ds = tiny_ds(n=40, classes=3)
+    if case == "erm":
+        seen = first_step(monkeypatch, lambda: erm_train(ds, cfg))
+    elif case == "pretrain":
+        seen = first_step(monkeypatch, lambda: pretrain_biased(ds, cfg))
+    else:
+        reps = np.random.default_rng(2).standard_normal((40, 4))
+        seen = first_step(monkeypatch, lambda: pipeline._train_head(
+            reps, ds.y, 3, cfg, "oracle-head", error_indices=np.arange(0, 40, 3)))
+    assert len(seen["grads"]) == {"erm": 2, "pretrain": 2, "upweighted-head": 1}[case]
+    for net, grad in zip(seen["nets"], seen["grads"]):
+        start = net.flat.copy()
+
+        def objective_at(flat):
+            net.flat[:] = flat
+            try:
+                return step_objective(seen)
+            finally:
+                net.flat[:] = start
+
+        assert helpers.rel_err(grad, helpers.central_diff(objective_at, start)) < 1e-6
 
 
 # ---------------------------------------------------------------- evaluate

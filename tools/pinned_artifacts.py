@@ -9,7 +9,8 @@ PYTHONPATH and OUT_DIR as its working directory. OUT_DIR must be absent or
 empty. The commands cover every subcommand: two synthetic datasets, both
 pretraining roles, debias in both modes at two label fractions, erm on
 both targets and with the rank penalty, a diverging erm run, one sweep of
-each family with a failing row, and a spectrum. Three more run on a small
+each family with a failing row, an erm sweep whose float grids are
+written as JSON integers, and a spectrum. Three more run on a small
 seeded IDX fixture that the tool writes with numpy alone: color-MNIST from
 it, image pretraining on that (the only commands that draw augmented image
 views) and a spectrum of the image encoder.
@@ -51,6 +52,11 @@ def _sweep_spec(family: str) -> dict:
                        "proj_dim": 8, "head_iters": 80}}
 
 
+# float grids spelled as JSON integers; a sweep reads them as the floats
+# they stand for, so its rows equal those of the same grids spelled 1.0
+INTEGRAL_GRIDS = {"r": [1], "lambda_reg": [0, 0.5], "lambda_up": [4], "tau": [1]}
+
+
 # the IDX fixture: 12x10 images, so rows and columns differ
 IDX_N, IDX_ROWS, IDX_COLS = 160, 12, 10
 
@@ -88,6 +94,7 @@ COMMANDS = [
     ("erm-diverged", ["erm", "--data", "ds", "--base-lr", "1e150", "--out", "erm_dvg", *NET]),
     ("sweep-erm", ["sweep", "--spec", "sweep_erm.json", "--out", "sweep_erm"]),
     ("sweep-pipeline", ["sweep", "--spec", "sweep_pipeline.json", "--out", "sweep_pipeline"]),
+    ("sweep-integral", ["sweep", "--spec", "sweep_integral.json", "--out", "sweep_integral"]),
     ("spectrum", ["spectrum", "--ckpt", "pre_b/encoder.ckpt", "--data", "ds", "--out", "spec"]),
     ("data-cmnist", ["data", "cmnist", "--images", "idx_images", "--labels", "idx_labels",
                      "--bias-ratio", "0.9", "--seed", "6", "--out", "ds_cm"]),
@@ -110,6 +117,8 @@ def run_all(src: Path, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for family in ("erm", "pipeline"):
         (out / f"sweep_{family}.json").write_text(json.dumps(_sweep_spec(family)) + "\n")
+    (out / "sweep_integral.json").write_text(
+        json.dumps({**_sweep_spec("erm"), **INTEGRAL_GRIDS}) + "\n")
     _write_idx_fixture(out)
     (out / "stdout").mkdir()
     for i, (name, argv) in enumerate(COMMANDS):
