@@ -19,9 +19,9 @@ Config precedence: command-line flags override values from --config FILE
 (a JSON object of ExperimentConfig fields), which override the dataclass
 defaults. Each ExperimentConfig field has one flag, its name with dashes
 for underscores (--hidden-dims takes comma-separated widths). A value of
-the wrong type, below its field's bound, or not finite (NaN, inf) exits 2
-naming the field, before --out is created. The effective config is
-serialized into the manifest.
+the wrong type, below its field's bound, not finite (NaN, inf) or, for an
+integer other than a seed, beyond int64 exits 2 naming the field, before
+--out is created. The effective config is serialized into the manifest.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ from .pipeline import (
     TrainingDiverged,
     debiased_linear_eval,
     erm_train,
-    error_set_quality,
     evaluate,
     finetune_semisup,
     identify_error_set,
     pretrain_biased,
+    pretrain_main,
     run_jobs,
     stream,
 )
@@ -309,8 +309,7 @@ def cmd_erm(args) -> int:
         _write_error_set(stage / "error_set.csv", error_set)
         eval_ds = test if test is not None else ds
         if args.target == "y":
-            report = evaluate(model, eval_ds)
-            report.precision, report.recall = error_set_quality(error_set, ds)
+            report = evaluate(model, eval_ds, error_set, ds)
             metrics = report.to_dict()
             summary = (f"conflict {report.bias_conflict_acc:.2f} aligned "
                        f"{report.bias_aligned_acc:.2f} unbiased {report.unbiased_acc:.2f} "
@@ -449,18 +448,16 @@ def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
     test = make_unbiased_testset(source, seed=test_seed + 1)
     if family == "erm":
         model, _ = erm_train(ds, cfg)
-        report = evaluate(model, test)
         pred = model.predict(ds.inputs)
-        es = ErrorSet(np.flatnonzero(pred != ds.y), pred)
-        precision, recall = error_set_quality(es, ds)
+        report = evaluate(model, test, ErrorSet(np.flatnonzero(pred != ds.y), pred), ds)
     else:
         biased_enc, _ = pretrain_biased(ds, cfg)
-        main_enc, _ = pretrain_biased(ds, replace(cfg, lambda_reg=0.0))
+        main_enc, _ = pretrain_main(ds, cfg)
         es = identify_error_set(biased_enc, ds, cfg)
         _, report = debiased_linear_eval(main_enc, ds, es, cfg, test=test)
-        precision, recall = report.precision, report.recall
     return dict(zip(SWEEP_METRICS, (report.bias_conflict_acc, report.bias_aligned_acc,
-                                    report.unbiased_acc, report.eff_rank, precision, recall)))
+                                    report.unbiased_acc, report.eff_rank, report.precision,
+                                    report.recall)))
 
 
 def _sweep_outcome(*args) -> dict | str:

@@ -177,8 +177,9 @@ def check_fields(cfg, lowest: dict) -> None:
     """Check every field of the config dataclass cfg against its annotation,
     naming the field: int, float, tuple[int, ...] and tuple[float, ...]
     fields must hold numbers of that kind (never a bool or a string),
-    floats must be finite, and a field named in lowest must be at least
-    that value (each item of a tuple). str and dict fields are skipped."""
+    floats must be finite, integers other than seeds must fit in int64, and
+    a field named in lowest must be at least that value (each item of a
+    tuple). str and dict fields are skipped."""
     for f in fields(cfg):
         if f.type in ("str", "dict"):
             continue
@@ -190,6 +191,9 @@ def check_fields(cfg, lowest: dict) -> None:
             raise ValueError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
         if not all(-math.inf < v < math.inf for v in items):  # NaN fails too
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind is numbers.Integral and f.name != "seed" and not all(
+                -2**63 <= v < 2**63 for v in items):  # numpy sizes and counts are int64
+            raise ValueError(f"{f.name} must fit in int64, got {value}")
         if any(v < lowest.get(f.name, -math.inf) for v in items):
             raise ValueError(f"{f.name} must be >= {lowest[f.name]}, got {value}")
 

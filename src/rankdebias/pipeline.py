@@ -180,12 +180,6 @@ def _check_input_dim(encoder: DenseNet, X: np.ndarray, where: str) -> None:
         )
 
 
-def _check_error_set(error_set: ErrorSet | None, n: int) -> None:
-    if error_set is not None and n and error_set.predictions.shape[0] != n:
-        raise ValueError(f"error set built for {error_set.predictions.shape[0]} samples, "
-                         f"labeled set has {n}")
-
-
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator,
                    drop_small: int = 1):
     """Shuffled consecutive minibatches; trailing batches smaller than
@@ -295,13 +289,18 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     return log
 
 
-def _upweighted(labels: np.ndarray, error_indices: np.ndarray | None,
-                lambda_up: float):
-    """_fit objective: cross-entropy with error_indices upweighted. The
-    spec is checked and the per-sample weights built once, before the first
-    step."""
-    spec = UpweightSpec(np.empty(0) if error_indices is None else error_indices, lambda_up)
-    weights = spec.weights(labels.shape[0])
+def _upweighted(labels: np.ndarray, error_set: ErrorSet | None, lambda_up: float):
+    """_fit objective: cross-entropy with the error set's samples upweighted.
+    The labels and the set are checked and the per-sample weights built
+    once, before the first step."""
+    n = labels.shape[0]
+    if n == 0:
+        raise ValueError("labeled set is empty")
+    if error_set is not None and error_set.predictions.shape[0] != n:
+        raise ValueError(f"error set built for {error_set.predictions.shape[0]} samples, "
+                         f"labeled set has {n}")
+    spec = UpweightSpec(np.empty(0) if error_set is None else error_set.indices, lambda_up)
+    weights = spec.weights(n)
 
     def objective(idx, outs):
         loss, dlogits = cross_entropy(outs[-1], labels[idx], weights[idx])
@@ -428,21 +427,19 @@ def pretrain_main(ds: BiasedDataset, cfg: ExperimentConfig
 
 def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
                 cfg: ExperimentConfig, rng_name: str,
-                error_indices: np.ndarray | None = None) -> DenseNet:
+                error_set: ErrorSet | None = None) -> DenseNet:
     """Train a linear head on frozen representations by minibatch Adam on
     i.i.d. batch draws, run as a single epoch.
 
-    With error_indices set, those samples are upweighted by cfg.lambda_up;
-    without them, or with lambda_up = 1, the loss is plain cross-entropy
+    With error_set given, its samples are upweighted by cfg.lambda_up;
+    without it, or with lambda_up = 1, the loss is plain cross-entropy
     bit for bit.
     """
     n = reps.shape[0]
-    if n == 0:
-        raise ValueError("cannot train a head on an empty labeled set")
     head = DenseNet.init([reps.shape[1], classes], stream(cfg.seed, rng_name + "-init"))
     rng = stream(cfg.seed, rng_name + "-batches")
     draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(cfg.head_iters))
-    _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_indices, cfg.lambda_up),
+    _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_set, cfg.lambda_up),
          _Optimizer(lambda step: cfg.head_lr), "head training")
     return head
 
@@ -452,8 +449,6 @@ def identify_error_set(biased_encoder: DenseNet, ds: BiasedDataset,
     """Freeze the biased encoder, fit a linear head on the labeled set, and
     collect every sample it misclassifies. Argmax ties resolve to the
     smallest class index."""
-    if len(ds) == 0:
-        raise ValueError("labeled set is empty")
     _check_input_dim(biased_encoder, ds.inputs, "identify_error_set")
     reps = apply(biased_encoder, ds.inputs)
     head = _train_head(reps, ds.y, ds.num_classes, cfg, "error-head")
@@ -470,17 +465,11 @@ def debiased_linear_eval(main_encoder: DenseNet, ds: BiasedDataset,
     error-set samples upweighted by cfg.lambda_up. The encoder is never
     touched. Metrics are computed on `test` when given, else on the
     labeled set itself."""
-    _check_error_set(error_set, len(ds))
     _check_input_dim(main_encoder, ds.inputs, "debiased_linear_eval")
     reps = apply(main_encoder, ds.inputs)
-    indices = error_set.indices if error_set is not None else None
-    head = _train_head(reps, ds.y, ds.num_classes, cfg, "debias-head",
-                       error_indices=indices)
+    head = _train_head(reps, ds.y, ds.num_classes, cfg, "debias-head", error_set)
     model = Model(main_encoder, head)
-    report = evaluate(model, test if test is not None else ds)
-    if error_set is not None:
-        report.precision, report.recall = error_set_quality(error_set, ds)
-    return model, report
+    return model, evaluate(model, test if test is not None else ds, error_set, ds)
 
 
 def finetune_semisup(model: Model, ds: BiasedDataset,
@@ -491,31 +480,27 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
     upweighted loss, using heavy-ball SGD and strong weight decay. The
     input model is left untouched; a finetuned copy is returned."""
     tuned = model.copy()
-    n = len(ds)
-    if n == 0:
-        raise ValueError("labeled set is empty")
-    _check_error_set(error_set, n)
     batch_rng = stream(cfg.seed, "finetune-batches")
-    epochs = (_epoch_batches(n, cfg.batch_size, batch_rng, drop_small=2)
+    epochs = (_epoch_batches(len(ds), cfg.batch_size, batch_rng, drop_small=2)
               for _ in range(cfg.finetune_epochs))
-    indices = error_set.indices if error_set is not None else None
     _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs,
-         _upweighted(ds.y, indices, cfg.lambda_up),
+         _upweighted(ds.y, error_set, cfg.lambda_up),
          _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,
                     cfg.finetune_momentum),
          "finetune")
-    report = evaluate(tuned, test if test is not None else ds)
-    if error_set is not None:
-        report.precision, report.recall = error_set_quality(error_set, ds)
-    return tuned, report
+    return tuned, evaluate(tuned, test if test is not None else ds, error_set, ds)
 
 
 # ------------------------------------------------------------------ metrics
 
 
-def evaluate(model: Model, test: BiasedDataset) -> MetricsReport:
+def evaluate(model: Model, test: BiasedDataset, error_set: ErrorSet | None = None,
+             labeled: BiasedDataset | None = None) -> MetricsReport:
     """Accuracies over conflicting, aligned and all samples, a per-(y, b)
-    group breakdown, and the effective rank of the representations."""
+    group breakdown, and the effective rank of the representations. With
+    error_set given, precision and recall are error_set_quality(error_set,
+    labeled), labeled being the set it was built on (test when None);
+    without it they stay NaN."""
     if len(test) == 0:
         raise ValueError("test set is empty")
     reps = apply(model.encoder, test.inputs)
@@ -537,12 +522,16 @@ def evaluate(model: Model, test: BiasedDataset) -> MetricsReport:
                 "n": cnt,
                 "acc": 100.0 * float(correct[mask].mean()),
             })
+    # without an error set, precision and recall keep their NaN defaults
+    quality = {} if error_set is None else dict(zip(("precision", "recall"), error_set_quality(
+        error_set, test if labeled is None else labeled)))
     return MetricsReport(
         bias_conflict_acc=acc(~test.aligned),
         bias_aligned_acc=acc(test.aligned),
         unbiased_acc=100.0 * float(correct.mean()),
         group_table=table,
         eff_rank=_chunk_rank(reps),
+        **quality,
     )
 
 
@@ -583,9 +572,11 @@ def bias_metric(encoder: DenseNet, ds: BiasedDataset,
 # ("error", exception) per job to the stdout it was started with, stopping
 # at its first error, whose traceback it prints. Its own stdout writes go to
 # its stderr, which the parent passes on, so a print inside a job cannot
-# corrupt the results.
+# corrupt the results. It exits at once when the lifeline pipe named by its
+# argument reaches EOF: the parent, the only holder of its write end, is gone.
 _WORKER = """
-import importlib, os, pickle, sys, traceback
+import importlib, os, pickle, sys, threading, traceback
+threading.Thread(target=lambda: (os.read(int(sys.argv[1]), 1), os._exit(1)), daemon=True).start()
 results = os.fdopen(os.dup(1), "wb")
 os.dup2(2, 1)
 sys.path[:] = pickle.load(sys.stdin.buffer)
@@ -663,7 +654,8 @@ def run_jobs(fn, jobs) -> list:
     Results come back in job order, and each worker's stderr is written to
     sys.stderr once it has finished. The first failing job in job order
     re-raises its exception here; a worker that dies without a result
-    raises RuntimeError. No worker outlives the call.
+    raises RuntimeError. No worker outlives the call, nor, by more than a
+    moment, a caller killed outright.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cores())
@@ -672,11 +664,13 @@ def run_jobs(fn, jobs) -> list:
     target = _import_name(fn)
     env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
     procs = []
+    lifeline = os.pipe()
     try:
         for _ in range(workers):
-            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER],
+            procs.append(subprocess.Popen([sys.executable, "-c", _WORKER, str(lifeline[0])],
                                           stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                          stderr=subprocess.PIPE, env=env))
+                                          stderr=subprocess.PIPE, env=env,
+                                          pass_fds=lifeline[:1]))
         for k, proc in enumerate(procs):
             # a worker that died early shows in its exit code below
             with contextlib.suppress(BrokenPipeError):
@@ -698,6 +692,8 @@ def run_jobs(fn, jobs) -> list:
             proc.stdout.close()
             proc.stderr.close()
             proc.wait()
+        for fd in lifeline:
+            os.close(fd)
     results = []
     for i in range(len(jobs)):
         done = outcomes[i % workers]

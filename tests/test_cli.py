@@ -35,6 +35,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def child_env() -> dict:
+    """The environment of a `python -m rankdebias.cli` child: this one, with
+    the package's source directory on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Workspace with a generated dataset and both pretrained encoders."""
@@ -68,6 +76,32 @@ def test_data_gen_layout_and_stdout(ws, capsys):
     assert "group counts" in out
     ds = BiasedDataset.load(ws / "ds2")
     assert len(ds) == 200 and ds.num_classes == 3
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["data", "gen", "--n", 2**64, "--classes", 4], "n"),
+    (["data", "gen", "--n", 40, "--classes", 4, "--input-dim", 2**64], "input_dim"),
+    (["pretrain", "--data", "ds", "--role", "main", "--epochs", 2**64], "epochs"),
+    (["sweep", "--spec", "huge.json"], "n"),
+    (["sweep", "--spec", "wide.json"], "hidden_dims"),
+], ids=["gen-n", "gen-input-dim", "pretrain-epochs", "sweep-n", "sweep-config"])
+def test_integer_beyond_int64_exits_2_naming_it(tmp_path, argv, field):
+    # in a child process, since data gen with such an n used to die of
+    # SIGSEGV inside numpy
+    (tmp_path / "huge.json").write_text(json.dumps({"n": 10**400, "seed": [0]}))
+    (tmp_path / "wide.json").write_text(json.dumps({"config": {"hidden_dims": [8, 2**64]}}))
+    done = subprocess.run([sys.executable, "-m", "rankdebias.cli", *map(str, argv),
+                           "--out", str(tmp_path / "out")], cwd=tmp_path, env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert f"error: {field} must fit in int64" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_beyond_int64_still_works(tmp_path, capsys):
+    assert run(["data", "gen", "--n", 40, "--classes", 4, "--seed", 2**64,
+                "--out", tmp_path / "d"]) == 0
+    assert ExperimentConfig(seed=2**64).seed == 2**64
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -541,12 +575,9 @@ def test_sweep_through_python_m_gives_the_same_bytes(tmp_path, capsys):
     spec = four_job_sweep(tmp_path)
     assert run(["sweep", "--spec", spec, "--out", tmp_path / "inproc"]) == 1
     capsys.readouterr()
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "rankdebias.cli", "sweep", "--spec",
                            str(spec), "--out", str(tmp_path / "child")],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=child_env(), capture_output=True, text=True, timeout=300)
     assert done.returncode == 1, done.stderr
     assert sweep_bytes(tmp_path / "inproc") == sweep_bytes(tmp_path / "child")
 
@@ -565,7 +596,18 @@ def test_integral_grid_values_give_the_bytes_of_their_floats(tmp_path, capsys):
     assert sweep_bytes(tmp_path / "ints") == sweep_bytes(tmp_path / "floats")
 
 
-def test_sigterm_stops_the_workers_and_removes_the_stage(tmp_path):
+def _gone(pid: int) -> bool:
+    """pid has exited: no such process, or a zombie not yet reaped."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_sigterm_stops_the_workers_and_removes_the_stage(tmp_path, signum):
+    # a killed caller runs no cleanup: its workers notice it is gone by
+    # themselves, and its .stage-* stays
     children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
     if not children.exists():
         pytest.skip("needs /proc/<pid>/task/<pid>/children to find the workers")
@@ -576,12 +618,9 @@ def test_sigterm_stops_the_workers_and_removes_the_stage(tmp_path):
             "config": {"epochs": 300, "warmup_epochs": 0, "batch_size": 64,
                        "latent_dim": 8, "hidden_dims": [64, 64]}}
     (tmp_path / "slow.json").write_text(json.dumps(spec))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "rankdebias.cli", "sweep", "--spec",
                              str(tmp_path / "slow.json"), "--out", str(tmp_path / "sw")],
-                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                             text=True)
     workers = []
     try:
@@ -592,14 +631,15 @@ def test_sigterm_stops_the_workers_and_removes_the_stage(tmp_path):
                        Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()]
         assert len(workers) == 2, workers
         time.sleep(1.0)
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)
         _, err = proc.communicate(timeout=30)
-        assert proc.returncode == 143, err
+        assert proc.returncode == (143 if signum == signal.SIGTERM else -signum), err
         deadline = time.monotonic() + 5
-        while any(Path(f"/proc/{pid}").exists() for pid in workers):
+        while not all(_gone(pid) for pid in workers):
             assert time.monotonic() < deadline, "a worker outlived its parent"
             time.sleep(0.05)
-        assert not list((tmp_path / "sw").glob(".stage-*"))
+        if signum == signal.SIGTERM:
+            assert not list((tmp_path / "sw").glob(".stage-*"))
     finally:
         proc.kill()
         proc.communicate()

@@ -258,6 +258,17 @@ def test_identify_error_set_rejects_empty_set():
         identify_error_set(enc, ds, tiny_cfg())
 
 
+def test_upweighted_fits_reject_an_empty_labeled_set():
+    test = tiny_ds()
+    ds = test.take(np.array([], dtype=np.int64))
+    enc = DenseNet.init([ds.inputs.shape[1], 8], np.random.default_rng(0))
+    model = Model(enc, DenseNet.init([8, ds.num_classes], np.random.default_rng(1)))
+    with pytest.raises(ValueError, match="labeled set is empty"):
+        debiased_linear_eval(enc, ds, None, tiny_cfg(), test=test)
+    with pytest.raises(ValueError, match="labeled set is empty"):
+        finetune_semisup(model, ds, None, tiny_cfg(), test=test)
+
+
 def test_identify_error_set_names_dims_on_mismatch():
     ds = tiny_ds()
     enc = DenseNet.init([3, 8], np.random.default_rng(0))
@@ -439,8 +450,9 @@ def test_first_step_gradients_match_central_differences(monkeypatch, case):
         seen = first_step(monkeypatch, lambda: pretrain_biased(ds, cfg))
     else:
         reps = np.random.default_rng(2).standard_normal((40, 4))
+        error_set = ErrorSet(np.arange(0, 40, 3), np.zeros(40, dtype=np.int64))
         seen = first_step(monkeypatch, lambda: pipeline._train_head(
-            reps, ds.y, 3, cfg, "oracle-head", error_indices=np.arange(0, 40, 3)))
+            reps, ds.y, 3, cfg, "oracle-head", error_set=error_set))
     assert len(seen["grads"]) == {"erm": 2, "pretrain": 2, "upweighted-head": 1}[case]
     for net, grad in zip(seen["nets"], seen["grads"]):
         start = net.flat.copy()
@@ -531,6 +543,23 @@ def test_evaluate_rejects_empty_testset():
     ds = onehot_dataset().take(np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         evaluate(perfect_model(), ds)
+
+
+def test_evaluate_scores_an_error_set_on_the_set_it_was_built_on():
+    labeled = onehot_dataset()
+    test = labeled.take(np.arange(100))
+    conflicting = np.flatnonzero(~labeled.aligned)
+    es = ErrorSet(np.sort(np.r_[conflicting[::2], np.flatnonzero(labeled.aligned)[:7]]),
+                  np.zeros(len(labeled), dtype=np.int64))
+    plain = evaluate(biased_model(), test)
+    assert np.isnan(plain.precision) and np.isnan(plain.recall)
+    scored = evaluate(biased_model(), test, es, labeled)
+    assert (scored.precision, scored.recall) == error_set_quality(es, labeled)
+    unscored = replace(scored, precision=plain.precision, recall=plain.recall)
+    assert unscored.to_dict() == plain.to_dict()
+    # without a labeled set, the error set was built on the test set itself
+    own = evaluate(biased_model(), labeled, es)
+    assert (own.precision, own.recall) == error_set_quality(es, labeled)
 
 
 # ------------------------------------------------------- error set quality

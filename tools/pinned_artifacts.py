@@ -7,13 +7,15 @@ SRC_DIR is a checkout of this repository; each command runs as
 ``python3 -m rankdebias.cli`` in a fresh process with SRC_DIR/src as its
 PYTHONPATH and OUT_DIR as its working directory. OUT_DIR must be absent or
 empty. The commands cover every subcommand: two synthetic datasets, both
-pretraining roles, debias in both modes at two label fractions, erm on
-both targets and with the rank penalty, a diverging erm run, one sweep of
-each family with a failing row, an erm sweep whose float grids are
-written as JSON integers, and a spectrum. Three more run on a small
-seeded IDX fixture that the tool writes with numpy alone: color-MNIST from
-it, image pretraining on that (the only commands that draw augmented image
-views) and a spectrum of the image encoder.
+pretraining roles, debias in both modes at two label fractions, debias
+scored on its own labeled set (no --test: linear-eval at fraction 0.1,
+semisup at 1.0), erm on both targets and with the rank penalty, a
+diverging erm run, one sweep of each family with a failing row, an erm
+sweep whose float grids are written as JSON integers, and a spectrum.
+Three more run on a small seeded IDX fixture that the tool writes with
+numpy alone: color-MNIST from it, image pretraining on that (the only
+commands that draw augmented image views) and a spectrum of the image
+encoder.
 
 The listing has one "<sha256>  <relative path>" line per file under
 OUT_DIR, sorted by path. manifest.json files are left out, as they hold
@@ -87,6 +89,10 @@ COMMANDS = [
         "--label-fraction", fraction, "--lambda-up", "8",
         "--out", f"debias_{mode}_{fraction}", *NET])
       for mode in ("linear-eval", "semisup") for fraction in ("0.1", "1.0")],
+    *[(f"debias-{mode}-{fraction}-labeled",
+       ["debias", "--data", "ds", *CKPTS, "--mode", mode, "--label-fraction", fraction,
+        "--lambda-up", "8", "--out", f"debias_{mode}_{fraction}_labeled", *NET])
+      for mode, fraction in (("linear-eval", "0.1"), ("semisup", "1.0"))],
     ("erm-y", ["erm", "--data", "ds", "--test", "ds_test", "--target", "y",
                "--out", "erm_y", *NET]),
     ("erm-penalized", ["erm", "--data", "ds", "--lambda-reg", "0.2", "--out", "erm_reg", *NET]),
