@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from rankdebias.data import GenConfig, gen_colorpoints, make_unbiased_testset
 from rankdebias.pipeline import (ExperimentConfig, debiased_linear_eval,
-                                 error_set_quality, finetune_semisup,
+                                 error_set_quality, evaluate, finetune_semisup,
                                  identify_error_set, pretrain_biased,
                                  pretrain_main)
 
@@ -60,17 +60,19 @@ def main():
 
     print("final heads on the frozen main encoder")
     up_cfg = replace(cfg, lambda_up=LAMBDA_UP)
-    _, plain = debiased_linear_eval(main_enc, ds, None, replace(cfg, lambda_up=1.0),
-                                    test=test)
-    _, upweight = debiased_linear_eval(main_enc, ds, E_main, up_cfg, test=test)
-    model, full = debiased_linear_eval(main_enc, ds, E_biased, up_cfg, test=test)
-    for name, rep in (("plain", plain), ("upweight", upweight), ("full", full)):
+    heads = {
+        "plain": debiased_linear_eval(main_enc, ds, None, replace(cfg, lambda_up=1.0)),
+        "upweight": debiased_linear_eval(main_enc, ds, E_main, up_cfg),
+        "full": debiased_linear_eval(main_enc, ds, E_biased, up_cfg),
+    }
+    for name, model in heads.items():
+        rep = evaluate(model, test)
         print(f"  {name:>8}: conflict {rep.bias_conflict_acc:5.1f}%  "
               f"aligned {rep.bias_aligned_acc:5.1f}%  "
               f"unbiased {rep.unbiased_acc:5.1f}%")
 
     print("optional: finetune the whole model on the upweighted loss")
-    _, tuned = finetune_semisup(model, ds, E_biased, up_cfg, test=test)
+    tuned = evaluate(finetune_semisup(heads["full"], ds, E_biased, up_cfg), test)
     print(f"  finetuned: conflict {tuned.bias_conflict_acc:5.1f}%  "
           f"aligned {tuned.bias_aligned_acc:5.1f}%  "
           f"unbiased {tuned.unbiased_acc:5.1f}%")

@@ -47,6 +47,7 @@ from .data import (
     check_fields,
     cmnist_from_idx,
     gen_colorpoints,
+    image_shape,
     label_fraction_split,
     make_unbiased_testset,
 )
@@ -60,7 +61,7 @@ from .manifest import (
     write_json,
     write_manifest,
 )
-from .nn import apply, load_checkpoint, save_checkpoint
+from .nn import DenseNet, apply, load_checkpoint, save_checkpoint
 from .pipeline import (
     MODALITIES,
     ErrorSet,
@@ -153,21 +154,48 @@ def _write_train_log(path: Path, log: list[dict], columns: list[str]) -> None:
     _write_csv(path, columns, [[row[c] for c in columns] for row in log])
 
 
-def _load_dataset(path: str) -> BiasedDataset:
+def _load_dataset(path: str, width: int | None = None) -> BiasedDataset:
+    """The dataset at path. Given width, the training dataset's, rows of
+    another width raise ValueError naming path."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"no dataset directory at {directory}")
-    return BiasedDataset.load(directory)
+    ds = BiasedDataset.load(directory)
+    if width not in (None, ds.input_dim):
+        raise ValueError(f"{directory}: rows have width {ds.input_dim}, "
+                         f"the training rows have width {width}")
+    return ds
 
 
-def _load_encoder(path: str):
+def _load_encoder(path: str, width: int) -> DenseNet:
+    """The encoder checkpointed at path; one reading inputs of another width
+    than the training dataset's raises ValueError naming path."""
     ckpt = Path(path)
     if not ckpt.is_file():
         raise FileNotFoundError(f"no checkpoint file at {ckpt}")
-    return load_checkpoint(ckpt)
+    encoder, _ = load_checkpoint(ckpt)
+    if encoder.in_dim != width:
+        raise ValueError(f"{ckpt}: encoder reads rows of width {encoder.in_dim}, "
+                         f"the training rows have width {width}")
+    return encoder
 
 
 # ------------------------------------------------------------------ runner
+
+
+def _remove_dead_stages(out: Path) -> None:
+    """Remove each stage directory in out, named .stage-<pid>-..., whose run's
+    process is gone, as a SIGKILLed run leaves it. A stage whose pid lives,
+    may not be signalled or is not in its name stays."""
+    for stage in out.glob(STAGE_PREFIX + "*"):
+        pid, dash, _ = stage.name[len(STAGE_PREFIX):].partition("-")
+        try:
+            if dash and pid.isdigit():
+                os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(stage, ignore_errors=True)
+        except (PermissionError, OverflowError):
+            pass
 
 
 def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
@@ -176,13 +204,14 @@ def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
     to --out.
 
     Hashes the input paths in inputs (unset ones are skipped) into the
-    run's manifest, creates out, then times work(stage, manifest_hash).
-    work writes the command's artifacts into stage, a fresh directory
-    inside out that hash_path skips, and returns the exit code (None for
-    0). The run is then committed: the old manifest.json is moved out of
-    out first, each staged file replaces its namesake, and the new
-    manifest.json comes last. An OSError there raises RuntimeError
-    naming out; the files already moved stay moved.
+    run's manifest, creates out, removes the stages of dead runs from it,
+    then times work(stage, manifest_hash). work writes the command's
+    artifacts into stage, a fresh directory inside out that hash_path
+    skips, and returns the exit code (None for 0). The run is then
+    committed: the old manifest.json is moved out of out first, each
+    staged file replaces its namesake, and the new manifest.json comes
+    last. An OSError there raises RuntimeError naming out; the files
+    already moved stay moved.
     If work raises TrainingDiverged and log_columns is given, only the
     partial train_log.csv is committed and the exit code is 1. Any other
     error leaves the files in out as they were.
@@ -190,8 +219,9 @@ def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
     manifest = RunManifest(command, config,
                            {name: hash_path(p) for name, p in inputs.items() if p}, seed)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_dead_stages(out)
     # inside out, so every rename of the commit stays on one filesystem
-    stage = Path(tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=out))
+    stage = Path(tempfile.mkdtemp(prefix=f"{STAGE_PREFIX}{os.getpid()}-", dir=out))
     clock = start_clock()
     try:
         try:
@@ -279,6 +309,8 @@ def cmd_pretrain(args) -> int:
     if args.role == "main":
         cfg = replace(cfg, lambda_reg=0.0)
     ds = _load_dataset(args.data)
+    if cfg.modality == "cmnist-image":
+        image_shape(ds, args.data)
     columns = ["epoch", "loss", "eff_rank", "lr"]
 
     def work(stage, manifest_hash):
@@ -295,7 +327,7 @@ def cmd_pretrain(args) -> int:
 def cmd_erm(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args.data)
-    test = _load_dataset(args.test) if args.test else None
+    test = _load_dataset(args.test, ds.input_dim) if args.test else None
     columns = ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"]
 
     def work(stage, manifest_hash):
@@ -332,9 +364,9 @@ def cmd_erm(args) -> int:
 def cmd_debias(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args.data)
-    test = _load_dataset(args.test) if args.test else None
-    biased_enc, _ = _load_encoder(args.biased_ckpt)
-    main_enc, _ = _load_encoder(args.main_ckpt)
+    test = _load_dataset(args.test, ds.input_dim) if args.test else None
+    biased_enc = _load_encoder(args.biased_ckpt, ds.input_dim)
+    main_enc = _load_encoder(args.main_ckpt, ds.input_dim)
     if not 0.0 < args.label_fraction <= 1.0:
         raise ValueError(f"label fraction must be in (0, 1], got {args.label_fraction}")
 
@@ -346,10 +378,11 @@ def cmd_debias(args) -> int:
         else:
             labeled = ds
         error_set = identify_error_set(biased_enc, labeled, cfg)
-        model, report = debiased_linear_eval(main_enc, labeled, error_set, cfg, test=test)
+        model = debiased_linear_eval(main_enc, labeled, error_set, cfg)
         if args.mode == "semisup":
-            model, report = finetune_semisup(model, labeled, error_set, cfg, test=test)
+            model = finetune_semisup(model, labeled, error_set, cfg)
             save_checkpoint(stage / "encoder_finetuned.ckpt", model.encoder, sidecar)
+        report = evaluate(model, test if test is not None else labeled, error_set, labeled)
         _write_error_set(stage / "error_set.csv", error_set)
         save_checkpoint(stage / "head.ckpt", model.head, sidecar)
         write_json(stage / "metrics.json", {
@@ -370,8 +403,8 @@ def cmd_debias(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    encoder, _ = _load_encoder(args.ckpt)
     ds = _load_dataset(args.data)
+    encoder = _load_encoder(args.ckpt, ds.input_dim)
 
     def work(stage, manifest_hash):
         reps = apply(encoder, ds.inputs)
@@ -449,12 +482,13 @@ def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
     if family == "erm":
         model, _ = erm_train(ds, cfg)
         pred = model.predict(ds.inputs)
-        report = evaluate(model, test, ErrorSet(np.flatnonzero(pred != ds.y), pred), ds)
+        error_set = ErrorSet(np.flatnonzero(pred != ds.y), pred)
     else:
         biased_enc, _ = pretrain_biased(ds, cfg)
         main_enc, _ = pretrain_main(ds, cfg)
-        es = identify_error_set(biased_enc, ds, cfg)
-        _, report = debiased_linear_eval(main_enc, ds, es, cfg, test=test)
+        error_set = identify_error_set(biased_enc, ds, cfg)
+        model = debiased_linear_eval(main_enc, ds, error_set, cfg)
+    report = evaluate(model, test, error_set, ds)
     return dict(zip(SWEEP_METRICS, (report.bias_conflict_acc, report.bias_aligned_acc,
                                     report.unbiased_acc, report.eff_rank, report.precision,
                                     report.recall)))

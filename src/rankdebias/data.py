@@ -204,6 +204,19 @@ def check_bias_ratio(bias_ratio: float) -> None:
         raise ValueError(f"bias_ratio must be in (0, 1], got {bias_ratio}")
 
 
+def image_shape(ds: BiasedDataset, where: str = "dataset") -> tuple[int, int, int]:
+    """The (c, h, w) of the flattened images that are ds's rows, the
+    image_shape of its meta.json. A dataset without one, or whose width is
+    not its product, raises ValueError starting with where."""
+    shape = ds.meta.get("image_shape")
+    if shape is None:
+        raise ValueError(f"{where}: meta.json has no image_shape, so its rows are not images")
+    if len(shape) != 3 or math.prod(shape) != ds.input_dim:
+        raise ValueError(f"{where}: rows have width {ds.input_dim}, "
+                         f"not the product of image_shape {shape}")
+    return tuple(shape)
+
+
 @dataclass
 class GenConfig:
     """Knobs for the synthetic color-points generator."""

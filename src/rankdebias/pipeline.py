@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import BiasedDataset, augment_image_batch, augment_vector_batch, check_fields, split
+from .data import (BiasedDataset, augment_image_batch, augment_vector_batch, check_fields,
+                   image_shape, split)
 from .losses import UpweightSpec, cross_entropy, rank_penalty, stage1_loss
 from .nn import (
     AdamState,
@@ -170,14 +171,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, message: str, log: list[dict] | None = None):
         super().__init__(message)
         self.log = log or []
-
-
-def _check_input_dim(encoder: DenseNet, X: np.ndarray, where: str) -> None:
-    if X.shape[1] != encoder.in_dim:
-        raise ValueError(
-            f"{where}: encoder expects inputs of width {encoder.in_dim}, "
-            f"dataset rows have width {X.shape[1]}"
-        )
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator,
@@ -385,7 +378,7 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
     aug_rng = stream(cfg.seed, "pretrain-augment")
 
     feature_std = ds.inputs.std(axis=0) if cfg.modality == "vector" else None
-    image_shape = tuple(ds.meta.get("image_shape", (3, 28, 28)))
+    shape = image_shape(ds) if cfg.modality == "cmnist-image" else None
     opt = _cosine_adam(cfg, n // cfg.batch_size)
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
@@ -394,7 +387,7 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
         if cfg.modality == "vector":
             pair = [augment_vector_batch(X, aug_rng, feature_std) for _ in range(2)]
         else:
-            pair = [augment_image_batch(X, aug_rng, image_shape) for _ in range(2)]
+            pair = [augment_image_batch(X, aug_rng, shape) for _ in range(2)]
         return np.concatenate(pair, axis=0)
 
     def objective(idx, outs):
@@ -449,7 +442,6 @@ def identify_error_set(biased_encoder: DenseNet, ds: BiasedDataset,
     """Freeze the biased encoder, fit a linear head on the labeled set, and
     collect every sample it misclassifies. Argmax ties resolve to the
     smallest class index."""
-    _check_input_dim(biased_encoder, ds.inputs, "identify_error_set")
     reps = apply(biased_encoder, ds.inputs)
     head = _train_head(reps, ds.y, ds.num_classes, cfg, "error-head")
     predictions = np.argmax(apply(head, reps), axis=1)
@@ -458,24 +450,17 @@ def identify_error_set(biased_encoder: DenseNet, ds: BiasedDataset,
 
 
 def debiased_linear_eval(main_encoder: DenseNet, ds: BiasedDataset,
-                         error_set: ErrorSet | None, cfg: ExperimentConfig,
-                         test: BiasedDataset | None = None
-                         ) -> tuple[Model, MetricsReport]:
+                         error_set: ErrorSet | None, cfg: ExperimentConfig) -> Model:
     """Train the final linear head on the frozen main encoder with the
     error-set samples upweighted by cfg.lambda_up. The encoder is never
-    touched. Metrics are computed on `test` when given, else on the
-    labeled set itself."""
-    _check_input_dim(main_encoder, ds.inputs, "debiased_linear_eval")
+    touched; evaluate scores the returned model."""
     reps = apply(main_encoder, ds.inputs)
     head = _train_head(reps, ds.y, ds.num_classes, cfg, "debias-head", error_set)
-    model = Model(main_encoder, head)
-    return model, evaluate(model, test if test is not None else ds, error_set, ds)
+    return Model(main_encoder, head)
 
 
 def finetune_semisup(model: Model, ds: BiasedDataset,
-                     error_set: ErrorSet | None, cfg: ExperimentConfig,
-                     test: BiasedDataset | None = None
-                     ) -> tuple[Model, MetricsReport]:
+                     error_set: ErrorSet | None, cfg: ExperimentConfig) -> Model:
     """Update the whole model (encoder and head) on the labeled set with the
     upweighted loss, using heavy-ball SGD and strong weight decay. The
     input model is left untouched; a finetuned copy is returned."""
@@ -488,7 +473,7 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
          _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,
                     cfg.finetune_momentum),
          "finetune")
-    return tuned, evaluate(tuned, test if test is not None else ds, error_set, ds)
+    return tuned
 
 
 # ------------------------------------------------------------------ metrics

@@ -371,11 +371,10 @@ def _pipeline_arm_run(seed: int) -> tuple[float, float, float]:
     e_main = identify_error_set(enc_main, ds, cfg)
     e_biased = identify_error_set(enc_biased, ds, cfg)
     up_cfg = replace(cfg, lambda_up=ARM_LAMBDA_UP)
-    _, plain = debiased_linear_eval(enc_main, ds, None, replace(cfg, lambda_up=1.0),
-                                    test=test)
-    _, upweight = debiased_linear_eval(enc_main, ds, e_main, up_cfg, test=test)
-    _, full = debiased_linear_eval(enc_main, ds, e_biased, up_cfg, test=test)
-    return plain.bias_conflict_acc, upweight.bias_conflict_acc, full.bias_conflict_acc
+    plain = debiased_linear_eval(enc_main, ds, None, replace(cfg, lambda_up=1.0))
+    upweight = debiased_linear_eval(enc_main, ds, e_main, up_cfg)
+    full = debiased_linear_eval(enc_main, ds, e_biased, up_cfg)
+    return tuple(evaluate(model, test).bias_conflict_acc for model in (plain, upweight, full))
 
 
 @pytest.fixture(scope="module")
@@ -408,13 +407,13 @@ def _semisup_run(seed: int) -> tuple[float, float]:
     enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=SEMI_LAMBDA_B))
     errors = identify_error_set(enc_biased, labeled, cfg)
     up_cfg = replace(cfg, lambda_up=SEMI_LAMBDA_UP)
-    model, _ = debiased_linear_eval(enc_main, labeled, errors, up_cfg, test=test)
-    _, tuned = finetune_semisup(model, labeled, errors, up_cfg, test=test)
+    model = debiased_linear_eval(enc_main, labeled, errors, up_cfg)
+    tuned = finetune_semisup(model, labeled, errors, up_cfg)
     scratch_cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
                                    hidden_dims=(256, 256), weight_decay=1e-3,
                                    seed=seed)
     scratch, _ = erm_train(labeled, scratch_cfg)
-    return tuned.bias_conflict_acc, evaluate(scratch, test).bias_conflict_acc
+    return evaluate(tuned, test).bias_conflict_acc, evaluate(scratch, test).bias_conflict_acc
 
 
 @pytest.fixture(scope="module")

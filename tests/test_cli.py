@@ -20,7 +20,7 @@ import pytest
 from rankdebias import cli, pipeline
 from rankdebias.cli import main
 from rankdebias.data import BiasedDataset, write_idx_images, write_idx_labels
-from rankdebias.nn import load_checkpoint
+from rankdebias.nn import DenseNet, load_checkpoint, save_checkpoint
 from rankdebias.pipeline import ExperimentConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*groups are empty")
@@ -53,6 +53,20 @@ def ws(tmp_path_factory):
                 "--lambda-reg", 0.1, "--out", root / "pre_b", *NET]) == 0
     assert run(["pretrain", "--data", root / "ds", "--role", "main",
                 "--out", root / "pre_m", *NET]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def width7(tmp_path_factory):
+    """Width-7 inputs to pair with the width-6 ones of ws: a dataset, an
+    encoder checkpoint, and a dataset whose image_shape holds 6 values."""
+    root = tmp_path_factory.mktemp("width7")
+    assert run(["data", "gen", "--n", 120, "--classes", 4, "--input-dim", 7,
+                "--seed", 2, "--out", root / "ds"]) == 0
+    save_checkpoint(root / "encoder.ckpt", DenseNet.init([7, 8], np.random.default_rng(0)))
+    images = BiasedDataset.load(root / "ds")
+    images.meta["image_shape"] = [1, 2, 3]
+    images.save(root / "images")
     return root
 
 
@@ -184,6 +198,35 @@ def test_input_path_of_the_wrong_kind_exits_2_naming_it(ws, tmp_path, capsys, co
     rc = run([*valid[command], flag, wrong, "--out", tmp_path / "o"])
     assert rc == 2
     assert str(wrong) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["erm-test", "debias-test", "biased-ckpt", "main-ckpt",
+                                  "spectrum-ckpt", "image-meta", "image-width"])
+def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
+        ws, width7, tmp_path, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for trainer in ("erm_train", "identify_error_set", "pretrain_biased"):
+        monkeypatch.setattr(cli, trainer, refuse)
+    ds, ckpt = ws / "ds", ws / "pre_b" / "encoder.ckpt"
+    ds7, ckpt7, images = width7 / "ds", width7 / "encoder.ckpt", width7 / "images"
+    debias = ["debias", "--data", ds, "--biased-ckpt", ckpt, "--main-ckpt", ckpt]
+    image = ["pretrain", "--role", "main", "--modality", "cmnist-image", *NET]
+    argv, culprit = {
+        "erm-test": (["erm", "--data", ds, "--test", ds7, *NET], ds7),
+        "debias-test": ([*debias, "--test", ds7, *NET], ds7),
+        "biased-ckpt": ([*debias, "--biased-ckpt", ckpt7, *NET], ckpt7),
+        "main-ckpt": ([*debias, "--main-ckpt", ckpt7, *NET], ckpt7),
+        "spectrum-ckpt": (["spectrum", "--ckpt", ckpt7, "--data", ds], ckpt7),
+        # a data gen set has no image_shape; images holds 7 values a row, not 6
+        "image-meta": ([*image, "--data", ds], ds),
+        "image-width": ([*image, "--data", images], images),
+    }[case]
+    # the last of a repeated flag wins
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    assert str(culprit) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -455,6 +498,23 @@ def test_debias_semisup_writes_finetuned_encoder(ws, tmp_path):
     assert metrics["label_fraction"] == 0.5
 
 
+def test_debias_semisup_scores_its_model_once(ws, tmp_path, monkeypatch):
+    scored = []
+    evaluate = pipeline.evaluate
+
+    def spy(model, *args):
+        scored.append(model)
+        return evaluate(model, *args)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    monkeypatch.setattr(pipeline, "evaluate", spy)
+    rc = run(["debias", "--data", ws / "ds", "--biased-ckpt", ws / "pre_b" / "encoder.ckpt",
+              "--main-ckpt", ws / "pre_m" / "encoder.ckpt", "--mode", "semisup",
+              "--finetune-epochs", 1, "--out", tmp_path / "d", *NET])
+    assert rc == 0
+    assert len(scored) == 1
+
+
 def test_debias_dimension_mismatch_exits_2(ws, tmp_path, capsys):
     assert run(["data", "gen", "--n", 120, "--classes", 4, "--input-dim", 9,
                 "--seed", 2, "--out", tmp_path / "wide"]) == 0
@@ -640,12 +700,39 @@ def test_sigterm_stops_the_workers_and_removes_the_stage(tmp_path, signum):
             time.sleep(0.05)
         if signum == signal.SIGTERM:
             assert not list((tmp_path / "sw").glob(".stage-*"))
+        else:
+            # the next run into --out removes the stage the killed one left
+            assert list((tmp_path / "sw").glob(".stage-*"))
+            assert run(["data", "gen", "--n", 40, "--classes", 4, "--out", tmp_path / "sw"]) == 0
+            assert not list((tmp_path / "sw").glob(".stage-*"))
     finally:
         proc.kill()
         proc.communicate()
         for pid in workers:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+def test_a_run_removes_the_stages_of_dead_runs_only(tmp_path, monkeypatch):
+    dead = subprocess.Popen([sys.executable, "-c", ""])
+    dead.wait()
+    kill = os.kill
+
+    def unpermitted(pid, signum):
+        if pid == 7777777:
+            raise PermissionError(errno.EPERM, "not permitted")
+        return kill(pid, signum)
+
+    monkeypatch.setattr(os, "kill", unpermitted)
+    out = tmp_path / "o"
+    stages = {"dead": f".stage-{dead.pid}-x", "alive": f".stage-{os.getpid()}-x",
+              "unpermitted": ".stage-7777777-x", "no pid": ".stage-6mit8fsj",
+              "huge pid": f".stage-{2**80}-x"}
+    for name in stages.values():
+        (out / name).mkdir(parents=True)
+    assert run(["data", "gen", "--n", 40, "--classes", 4, "--out", out]) == 0
+    left = {p.name for p in out.glob(".stage-*")}
+    assert left == set(stages.values()) - {stages["dead"]}
 
 
 def test_main_restores_the_callers_sigterm_handler(tmp_path, capsys):
