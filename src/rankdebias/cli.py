@@ -669,4 +669,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # run the module's importable copy, so run_jobs can send its job functions
+    from rankdebias.cli import main
     sys.exit(main())

@@ -553,22 +553,20 @@ def bias_metric(encoder: DenseNet, ds: BiasedDataset,
 # ------------------------------------------------------------ parallel jobs
 
 # each worker is a fresh interpreter: it takes the parent's sys.path, then
-# (module, qualname, jobs), from stdin, and pickles one ("ok", value) or
-# ("error", exception) per job to the stdout it was started with, stopping
-# at its first error, whose traceback it prints. Its own stdout writes go to
-# its stderr, which the parent passes on, so a print inside a job cannot
-# corrupt the results. It exits at once when the lifeline pipe named by its
-# argument reaches EOF: the parent, the only holder of its write end, is gone.
+# (fn, jobs), from stdin, and pickles one ("ok", value) or ("error",
+# exception) per job to the stdout it was started with, stopping at its
+# first error, whose traceback it prints. Unpickling fn imports its module.
+# Its own stdout writes go to its stderr, which the parent passes on, so a
+# print inside a job cannot corrupt the results. It exits at once when the
+# lifeline pipe named by its argument reaches EOF: the parent, the only
+# holder of its write end, is gone.
 _WORKER = """
-import importlib, os, pickle, sys, threading, traceback
+import os, pickle, sys, threading, traceback
 threading.Thread(target=lambda: (os.read(int(sys.argv[1]), 1), os._exit(1)), daemon=True).start()
 results = os.fdopen(os.dup(1), "wb")
 os.dup2(2, 1)
 sys.path[:] = pickle.load(sys.stdin.buffer)
-module, qualname, jobs = pickle.load(sys.stdin.buffer)
-fn = importlib.import_module(module)
-for part in qualname.split("."):
-    fn = getattr(fn, part)
+fn, jobs = pickle.load(sys.stdin.buffer)
 outcomes = []
 for job in jobs:
     try:
@@ -611,31 +609,17 @@ def _usable_cores() -> int:
     return min(cores, _cgroup_cpu_limit() or cores)
 
 
-def _import_name(fn) -> tuple[str, str]:
-    """(module, qualname) under which a fresh interpreter imports fn."""
-    module = fn.__module__
-    if module == "__main__":
-        spec = getattr(sys.modules["__main__"], "__spec__", None)
-        if spec is None:
-            raise ValueError(f"run_jobs: {fn.__qualname__} is defined in a __main__ "
-                             "script, which a worker cannot import")
-        module = spec.name
-    found = sys.modules.get(fn.__module__)
-    for part in fn.__qualname__.split("."):
-        found = getattr(found, part, None)
-    if found is not fn:
-        raise ValueError(f"run_jobs: {fn.__qualname__} is not importable by name "
-                         f"from {module}")
-    return module, fn.__qualname__
-
-
 def run_jobs(fn, jobs) -> list:
     """[fn(*job) for job in jobs], with the jobs spread over worker processes.
 
     There is one worker per usable core, never more than there are jobs,
     and with one worker the jobs run in this process. Otherwise worker k
-    is a fresh interpreter with one BLAS thread that runs jobs k::workers,
-    so fn must be importable by name and jobs and results picklable.
+    is a fresh interpreter with one BLAS thread that runs jobs k::workers.
+    fn and the jobs reach it by pickle, which names fn by its module and
+    qualified name, and the results return by pickle. Every worker's
+    payload is pickled before the first worker starts: a function or job
+    that pickle refuses raises pickle's own error here, and a function
+    defined in __main__ raises ValueError, with no process started.
     Results come back in job order, and each worker's stderr is written to
     sys.stderr once it has finished. The first failing job in job order
     re-raises its exception here; a worker that dies without a result
@@ -646,22 +630,24 @@ def run_jobs(fn, jobs) -> list:
     workers = min(len(jobs), _usable_cores())
     if workers <= 1:
         return [fn(*job) for job in jobs]
-    target = _import_name(fn)
+    if getattr(fn, "__module__", None) == "__main__":
+        raise ValueError(f"run_jobs: {fn!r} is defined in __main__, which a worker "
+                         "cannot import")
+    payloads = [pickle.dumps(sys.path) + pickle.dumps((fn, jobs[k::workers]))
+                for k in range(workers)]
     env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
     procs = []
     lifeline = os.pipe()
     try:
-        for _ in range(workers):
+        for payload in payloads:
             procs.append(subprocess.Popen([sys.executable, "-c", _WORKER, str(lifeline[0])],
                                           stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                           stderr=subprocess.PIPE, env=env,
                                           pass_fds=lifeline[:1]))
-        for k, proc in enumerate(procs):
             # a worker that died early shows in its exit code below
             with contextlib.suppress(BrokenPipeError):
-                pickle.dump(sys.path, proc.stdin)
-                pickle.dump((*target, jobs[k::workers]), proc.stdin)
-                proc.stdin.flush()
+                procs[-1].stdin.write(payload)
+                procs[-1].stdin.flush()
         outcomes = []
         for proc in procs:
             # communicate closes stdin and drains stdout and stderr together

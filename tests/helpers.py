@@ -6,7 +6,7 @@ instead of SVD, explicit loops instead of vectorized updates. Keep it slow
 and obvious.
 
 The job functions at the end are what the run_jobs tests send to worker
-processes, which import them by name.
+processes, which unpickle them by module and qualified name.
 """
 
 import os
@@ -253,3 +253,11 @@ def echo_job(value, seconds=0.0, error=None, exit_code=None):
 
 def worker_pid_and_blas_threads():
     return os.getpid(), os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+class Jobs:
+    """Job functions whose qualified names hold a dot."""
+
+    @staticmethod
+    def worker_pid():
+        return os.getpid()

@@ -603,10 +603,10 @@ def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
         run(["sweep", "--spec", tmp_path / "sweep.json", "--out", tmp_path / "sw"])
 
 
-def four_job_sweep(tmp_path) -> Path:
+def four_job_sweep(tmp_path, family="erm") -> Path:
     """A sweep spec of four jobs, two of which are refused by the config."""
     spec = {
-        "family": "erm", "n": 240, "classes": 4, "test_n": 240,
+        "family": family, "n": 240, "classes": 4, "test_n": 240,
         "r": [0.9], "lambda_reg": [0.0, -1.0], "seed": [0, 1],
         "config": {"epochs": 2, "warmup_epochs": 0, "batch_size": 64,
                    "latent_dim": 8, "hidden_dims": [16, 16]},
@@ -619,8 +619,9 @@ def sweep_bytes(out: Path) -> tuple[bytes, bytes]:
     return (out / "sweep.csv").read_bytes(), (out / "selection.json").read_bytes()
 
 
-def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
-    spec = four_job_sweep(tmp_path)
+@pytest.mark.parametrize("family", ["erm", "pipeline"])
+def test_sweep_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys, family):
+    spec = four_job_sweep(tmp_path, family)
     status_lines = []
     for workers in (1, 2):
         monkeypatch.setattr(pipeline, "_usable_cores", lambda: workers)
@@ -868,3 +869,17 @@ def test_absolute_out_ignores_env_var(ws, tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert (tmp_path / "direct" / "report.json").exists()
     assert not (tmp_path / "elsewhere").exists()
+
+
+def test_data_gen_out_resolves_under_the_output_root(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "root"
+    monkeypatch.setenv("RANKDEBIAS_OUT", str(root))
+    monkeypatch.chdir(tmp_path)
+    argv = ["data", "gen", "--n", 40, "--classes", 4, "--out"]
+    assert run([*argv, "runs/ds"]) == 0
+    assert (root / "runs" / "ds" / "manifest.json").exists()
+    assert not (tmp_path / "runs").exists()
+    assert run([*argv, tmp_path / "direct"]) == 0
+    assert (tmp_path / "direct" / "manifest.json").exists()
+    assert not (root / "direct").exists()
+    capsys.readouterr()

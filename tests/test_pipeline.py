@@ -5,8 +5,8 @@ deliberately tiny configurations."""
 
 import ast
 import os
+import pickle
 import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -699,6 +699,8 @@ def test_run_jobs_workers_run_one_blas_thread_each(spawned):
     assert results[0][0] == results[2][0] == spawned[0]
     assert results[1][0] == spawned[1]
     assert os.environ.get("OPENBLAS_NUM_THREADS") == before
+    # a staticmethod travels by its dotted qualified name, Jobs.worker_pid
+    assert run_jobs(helpers.Jobs.worker_pid, [(), ()]) == spawned[2:]
     assert_reaped(spawned)
 
 
@@ -720,20 +722,19 @@ def test_run_jobs_names_the_exit_code_of_a_dead_worker(spawned):
     assert_reaped(spawned)
 
 
-def test_run_jobs_stops_its_workers_when_a_job_cannot_be_sent(spawned):
-    # worker 0 gets its job; worker 1's cannot be pickled and never arrives
+def test_run_jobs_starts_no_worker_when_a_job_cannot_be_pickled(spawned):
+    # worker 0's job could be sent, worker 1's cannot: every payload is
+    # pickled before the first worker starts
     with pytest.raises(TypeError, match="pickle"):
         run_jobs(helpers.echo_job, [("a", 5.0), ((i for i in ()),)])
-    assert len(spawned) == 2
-    assert_reaped(spawned)
+    assert spawned == []
 
 
 def test_run_jobs_refuses_functions_a_worker_cannot_import(spawned, monkeypatch):
     monkeypatch.setattr(helpers.echo_job, "__module__", "__main__")
-    monkeypatch.setattr(sys.modules["__main__"], "__spec__", None, raising=False)
     with pytest.raises(ValueError, match="__main__"):
         run_jobs(helpers.echo_job, [("a",), ("b",)])
-    with pytest.raises(ValueError, match="not importable"):
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
         run_jobs(lambda x: x, [(1,), (2,)])
     assert spawned == []
     # one job, or one usable core, runs in this process, where any callable will do
