@@ -6,7 +6,8 @@ scheduling with linear warmup, and a flat binary checkpoint format. All
 of a net's parameters live in one float64 vector, DenseNet.flat, which
 is also the checkpoint payload; gradients come back in the same layout.
 A forward pass stores each layer's output once, as one array: forward
-keeps them all for backward, and apply drops each as the next is built.
+keeps them all for backward, and apply drops each as the next is built
+and runs a large batch in row blocks.
 All state lives in plain numpy arrays so every gradient in the system
 can be checked against finite differences.
 """
@@ -29,6 +30,17 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# apply runs a whole-dataset pass in row blocks, so it holds one block's
+# activations, not n rows of them. A block's widest layer output takes
+# about this many bytes (1024 rows at width 256) ...
+_BLOCK_BYTES = 2 << 20
+# ... unless that leaves a layer product with fewer multiply-adds than
+# this. OpenBLAS sends products of up to 10**6 through small-matrix
+# kernels, and a one-row block through gemv, and both round differently
+# from the kernels a whole pass uses; above the floor, a block's rows
+# come out byte-identical to those of one pass.
+_BLOCK_MIN_MACS = 1 << 20
 
 
 def _flat_size(layer_dims: list[int]) -> int:
@@ -102,12 +114,17 @@ class ForwardCache:
     inputs: list[np.ndarray]
 
 
-def _layer_outputs(net: DenseNet, X):
-    """Yield the checked batch, then each layer's output, one array per
-    layer: ReLU on hidden layers, applied in place, identity on the last."""
+def _checked_batch(net: DenseNet, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.in_dim:
         raise ValueError(f"batch shape {X.shape} does not match input dim {net.in_dim}")
+    return X
+
+
+def _layer_outputs(net: DenseNet, X):
+    """Yield the checked batch, then each layer's output, one array per
+    layer: ReLU on hidden layers, applied in place, identity on the last."""
+    X = _checked_batch(net, X)
     yield X
     h = X
     last = len(net.weights) - 1
@@ -125,10 +142,37 @@ def forward(net: DenseNet, X) -> tuple[np.ndarray, ForwardCache]:
     return out, ForwardCache(inputs)
 
 
+def _block_rows(net: DenseNet) -> int:
+    """Fewest rows in one of apply's blocks: the byte budget's rows, or
+    more where a layer product needs them to reach the floor."""
+    dims = net.layer_dims
+    budget = _BLOCK_BYTES // (8 * max(dims[1:]))
+    floor = max(-(-_BLOCK_MIN_MACS // (fan_in * fan_out))
+                for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    return max(budget, floor)
+
+
 def apply(net: DenseNet, X) -> np.ndarray:
-    """Forward pass that holds only the layer being computed and its input."""
-    for out in _layer_outputs(net, X):
-        pass
+    """Forward pass that holds only the layer being computed and its input.
+
+    A batch of at least two blocks' rows runs block by block, each block's
+    output written into one (n, out_dim) array, so the pass holds its
+    output plus one block. Every block has at least _block_rows(net) rows,
+    which keeps the result byte-identical to one pass over the whole batch
+    (see _BLOCK_MIN_MACS)."""
+    X = _checked_batch(net, X)
+    n = len(X)
+    blocks = n // _block_rows(net)
+    if blocks <= 1:
+        for out in _layer_outputs(net, X):
+            pass
+        return out
+    out = np.empty((n, net.out_dim))
+    bounds = [k * n // blocks for k in range(blocks + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        for h in _layer_outputs(net, X[start:stop]):
+            pass
+        out[start:stop] = h
     return out
 
 

@@ -17,10 +17,12 @@ adding a consumer in one stage never shifts the draws of another.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import pickle
 import subprocess
 import sys
+import types
 import zlib
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -609,6 +611,25 @@ def _usable_cores() -> int:
     return min(cores, _cgroup_cpu_limit() or cores)
 
 
+class _JobPickler(pickle.Pickler):
+    """A pickler that refuses, with ValueError, any function or class
+    defined in __main__ and any instance of such a class: pickle names
+    them by reference, and a worker's __main__ has none of them."""
+
+    def reducer_override(self, obj):
+        owner = obj if isinstance(obj, (type, types.FunctionType)) else type(obj)
+        if getattr(owner, "__module__", None) == "__main__":
+            raise ValueError(f"run_jobs: {obj!r} is defined in __main__, which a worker "
+                             "cannot import")
+        return NotImplemented
+
+
+def _job_payload(fn, jobs) -> bytes:
+    buf = io.BytesIO()
+    _JobPickler(buf).dump((fn, jobs))
+    return pickle.dumps(sys.path) + buf.getvalue()
+
+
 def run_jobs(fn, jobs) -> list:
     """[fn(*job) for job in jobs], with the jobs spread over worker processes.
 
@@ -618,8 +639,9 @@ def run_jobs(fn, jobs) -> list:
     fn and the jobs reach it by pickle, which names fn by its module and
     qualified name, and the results return by pickle. Every worker's
     payload is pickled before the first worker starts: a function or job
-    that pickle refuses raises pickle's own error here, and a function
-    defined in __main__ raises ValueError, with no process started.
+    that pickle refuses raises pickle's own error here, and a function,
+    class or instance whose definition is in __main__ raises ValueError,
+    with no process started.
     Results come back in job order, and each worker's stderr is written to
     sys.stderr once it has finished. The first failing job in job order
     re-raises its exception here; a worker that dies without a result
@@ -630,11 +652,7 @@ def run_jobs(fn, jobs) -> list:
     workers = min(len(jobs), _usable_cores())
     if workers <= 1:
         return [fn(*job) for job in jobs]
-    if getattr(fn, "__module__", None) == "__main__":
-        raise ValueError(f"run_jobs: {fn!r} is defined in __main__, which a worker "
-                         "cannot import")
-    payloads = [pickle.dumps(sys.path) + pickle.dumps((fn, jobs[k::workers]))
-                for k in range(workers)]
+    payloads = [_job_payload(fn, jobs[k::workers]) for k in range(workers)]
     env = {**os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1")}
     procs = []
     lifeline = os.pipe()

@@ -21,6 +21,7 @@ from rankdebias.nn import (
     ForwardCache,
     MomentumState,
     ScheduleConfig,
+    _layer_outputs,
     adam_step,
     apply,
     backward,
@@ -326,6 +327,26 @@ def test_forward_apply_backward_match_preactivation_oracle():
     assert signed_zeros > 0 and nans > 0
 
 
+@pytest.mark.parametrize("dims, n", [
+    *[([7, 256, 256, 64], n) for n in (1023, 1024, 1025, 2049, 4000, 10000, 20001)],
+    ([7, 128, 128, 64], 10000),      # the CLI's default widths
+    ([2352, 256, 256, 64], 3000),    # a color-MNIST encoder
+    # narrow last layers, whose products need more rows than the byte
+    # budget gives to leave OpenBLAS's small-matrix kernels
+    ([7, 256, 256, 2], 10000),
+    ([7, 1024, 2], 5000),
+    ([64, 5], 100000),
+    ([64, 10], 100000),
+])
+def test_apply_in_blocks_equals_one_pass_over_the_batch(dims, n):
+    rng = np.random.default_rng(31)
+    net = DenseNet.init(dims, rng)
+    X = rng.normal(size=(n, dims[0]))
+    for whole in _layer_outputs(net, X):
+        pass
+    assert apply(net, X).tobytes() == whole.tobytes()
+
+
 def test_apply_and_forward_keep_one_array_per_layer():
     # the debias-lowlabel encoder on its 4000-row test set
     rng = np.random.default_rng(30)
@@ -333,7 +354,7 @@ def test_apply_and_forward_keep_one_array_per_layer():
     X = rng.normal(size=(4000, 7))
     hidden, output, slack = 4000 * 256 * 8, 4000 * 64 * 8, 1 << 20
 
-    def peak(fn):
+    def peak(fn, X):
         tracemalloc.start()
         try:
             fn(net, X)
@@ -341,10 +362,12 @@ def test_apply_and_forward_keep_one_array_per_layer():
         finally:
             tracemalloc.stop()
 
-    # apply holds a layer's input and its output, never the whole pass
-    assert peak(apply) < 2 * hidden + slack
     # forward keeps both hidden layers' outputs and the net's output
-    assert peak(forward) < 2 * hidden + output + slack
+    assert peak(forward, X) < 2 * hidden + output + slack
+    # apply holds its output plus one block: a layer's input and its
+    # output, each fewer than 2 * 1024 rows at width 256, whatever n is
+    for X in (X, rng.normal(size=(40000, 7))):
+        assert peak(apply, X) - len(X) * 64 * 8 < 2 * (2 * 1024 * 256 * 8) + slack
 
 
 # --------------------------------------------------------------------- adam

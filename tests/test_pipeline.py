@@ -7,6 +7,7 @@ import ast
 import os
 import pickle
 import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -742,6 +743,43 @@ def test_run_jobs_refuses_functions_a_worker_cannot_import(spawned, monkeypatch)
     monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
     assert run_jobs(lambda x: x + 1, [(1,), (2,)]) == [2, 3]
     assert spawned == []
+
+
+# a script whose job arguments are instances of a class its __main__ defines
+MAIN_JOB_ARGS_SCRIPT = """
+import subprocess
+from rankdebias import pipeline
+
+class Point:
+    def __init__(self, x):
+        self.x = x
+
+started = []
+
+class Recorded(subprocess.Popen):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        started.append(self.pid)
+
+subprocess.Popen = Recorded
+pipeline._usable_cores = lambda: 2
+try:
+    pipeline.run_jobs(repr, [(Point(1),), (Point(2),)])
+except ValueError as exc:
+    print(f"ValueError: {exc}")
+print(f"workers started: {len(started)}")
+"""
+
+
+def test_run_jobs_refuses_job_arguments_defined_in_main():
+    done = subprocess.run([sys.executable, "-c", MAIN_JOB_ARGS_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    error, started = done.stdout.splitlines()
+    assert error.startswith("ValueError: run_jobs: <__main__.Point object")
+    assert "defined in __main__" in error
+    assert started == "workers started: 0"
 
 
 BANNED_MODULES = ("multiprocessing", "concurrent.futures")

@@ -15,7 +15,9 @@ sweep whose float grids are written as JSON integers, and a spectrum.
 Three more run on a small seeded IDX fixture that the tool writes with
 numpy alone: color-MNIST from it, image pretraining on that (the only
 commands that draw augmented image views) and a spectrum of the image
-encoder.
+encoder. The last three generate 5000 rows, pretrain a wide main encoder
+with a 2-wide output on them for one epoch and take its spectrum, whose
+nn.apply pass runs in row blocks through a narrow last layer.
 
 The listing has one "<sha256>  <relative path>" line per file under
 OUT_DIR, sorted by path. manifest.json files are left out, as they hold
@@ -109,6 +111,12 @@ COMMANDS = [
                          "--out", "pre_cm", *NET]),
     ("spectrum-cmnist", ["spectrum", "--ckpt", "pre_cm/encoder.ckpt", "--data", "ds_cm",
                          "--out", "spec_cm"]),
+    ("data-wide", ["data", "gen", "--n", "5000", "--out", "ds_wide"]),
+    ("pretrain-wide", ["pretrain", "--data", "ds_wide", "--role", "main",
+                       "--hidden-dims", "256,256", "--latent-dim", "2", "--epochs", "1",
+                       "--warmup-epochs", "0", "--out", "pre_wide"]),
+    ("spectrum-wide", ["spectrum", "--ckpt", "pre_wide/encoder.ckpt", "--data", "ds_wide",
+                       "--out", "spec_wide"]),
 ]
 
 
