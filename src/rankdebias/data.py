@@ -76,6 +76,12 @@ class BiasedDataset:
         n = self.inputs.shape[0]
         if not (self.y.shape[0] == self.b.shape[0] == self.aligned.shape[0] == n):
             raise ValueError("inputs, y, b and aligned must have the same length")
+        for name, labels, classes in (("y", self.y, self.num_classes),
+                                      ("b", self.b, self.num_bias_classes)):
+            outside = np.flatnonzero((labels < 0) | (labels >= classes))
+            if outside.size:
+                raise ValueError(f"{name} must lie in [0, {classes}), got "
+                                 f"{labels[outside[0]]} at sample {outside[0]}")
         if not np.array_equal(self.aligned, self.b == spurious_map(self.y)):
             raise ValueError("aligned flags inconsistent with (y, b) and the spurious map")
 
@@ -129,7 +135,7 @@ class BiasedDataset:
     def load(cls, directory) -> "BiasedDataset":
         """Read a directory written by save. A malformed inputs.npy, or one
         whose row count differs from labels.csv, raises ValueError naming
-        its path."""
+        its path; labels the dataset refuses raise it naming labels.csv."""
         directory = Path(directory)
         inputs = _read_inputs(directory / INPUTS_NAME)
         labels = np.loadtxt(directory / "labels.csv", delimiter=",", skiprows=1,
@@ -138,9 +144,12 @@ class BiasedDataset:
             raise ValueError(f"{directory / INPUTS_NAME}: {inputs.shape[0]} rows, "
                              f"but labels.csv has {labels.shape[0]}")
         meta = json.loads((directory / "meta.json").read_text())
-        return cls(inputs, labels[:, 0], labels[:, 1], labels[:, 2].astype(bool),
-                   meta.pop("bias_ratio"), meta.pop("num_classes"),
-                   meta.pop("num_bias_classes"), meta)
+        try:
+            return cls(inputs, labels[:, 0], labels[:, 1], labels[:, 2].astype(bool),
+                       meta.pop("bias_ratio"), meta.pop("num_classes"),
+                       meta.pop("num_bias_classes"), meta)
+        except ValueError as exc:
+            raise ValueError(f"{directory / 'labels.csv'}: {exc}") from None
 
 
 def _read_inputs(path: Path) -> np.ndarray:

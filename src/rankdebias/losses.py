@@ -146,10 +146,11 @@ def stage1_loss(views_out, proj_out, tau: float, lambda_reg: float):
     penalty applied directly to the encoder outputs.
 
     Returns (loss, grad_views, grad_proj). grad_views holds only the rank
-    term; the contrastive part reaches the encoder through the projection
-    head, so the caller adds the backpropagated grad_proj to it. With the
-    penalty on, non-finite encoder outputs (a diverged encoder) give a NaN
-    loss, which the caller's finite-loss check catches.
+    term, and is None when the penalty is off, as in rank_penalty; the
+    contrastive part reaches the encoder through the projection head, so
+    the caller adds the backpropagated grad_proj to it. With the penalty
+    on, non-finite encoder outputs (a diverged encoder) give a NaN loss,
+    which the caller's finite-loss check catches.
     """
     views_out = np.asarray(views_out, dtype=np.float64)
     proj_out = np.asarray(proj_out, dtype=np.float64)
@@ -162,6 +163,4 @@ def stage1_loss(views_out, proj_out, tau: float, lambda_reg: float):
         raise ValueError(f"lambda_reg must be >= 0, got {lambda_reg}")
     loss, grad_proj = nt_xent(proj_out, tau)
     penalty, grad_views = rank_penalty(views_out, lambda_reg)
-    if grad_views is None:
-        grad_views = np.zeros_like(views_out)
     return loss + lambda_reg * penalty, grad_views, grad_proj

@@ -7,7 +7,7 @@ of a net's parameters live in one float64 vector, DenseNet.flat, which
 is also the checkpoint payload; gradients come back in the same layout.
 A forward pass stores each layer's output once, as one array: forward
 keeps them all for backward, and apply drops each as the next is built
-and runs a large batch in row blocks.
+and runs the batch in row blocks.
 All state lives in plain numpy arrays so every gradient in the system
 can be checked against finite differences.
 """
@@ -155,18 +155,14 @@ def _block_rows(net: DenseNet) -> int:
 def apply(net: DenseNet, X) -> np.ndarray:
     """Forward pass that holds only the layer being computed and its input.
 
-    A batch of at least two blocks' rows runs block by block, each block's
-    output written into one (n, out_dim) array, so the pass holds its
-    output plus one block. Every block has at least _block_rows(net) rows,
-    which keeps the result byte-identical to one pass over the whole batch
-    (see _BLOCK_MIN_MACS)."""
+    The batch runs as n // _block_rows(net) blocks, or as one block when
+    that is 0, each block's output written into one (n, out_dim) array, so
+    the pass holds its output plus one block. Every block has at least
+    _block_rows(net) rows or is the whole batch, which keeps the result
+    byte-identical to one pass over the whole batch (see _BLOCK_MIN_MACS)."""
     X = _checked_batch(net, X)
     n = len(X)
-    blocks = n // _block_rows(net)
-    if blocks <= 1:
-        for out in _layer_outputs(net, X):
-            pass
-        return out
+    blocks = max(1, n // _block_rows(net))
     out = np.empty((n, net.out_dim))
     bounds = [k * n // blocks for k in range(blocks + 1)]
     for start, stop in zip(bounds[:-1], bounds[1:]):

@@ -175,15 +175,19 @@ class TrainingDiverged(RuntimeError):
         self.log = log or []
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator,
-                   drop_small: int = 1):
-    """Shuffled consecutive minibatches; trailing batches smaller than
-    drop_small are skipped."""
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        if idx.size >= drop_small:
-            yield idx
+def _epochs(n: int, batch_size: int, epochs: int, rng: np.random.Generator,
+            drop_small: int):
+    """The epoch trainers' batch rule: (steps per epoch, the epochs). Each
+    epoch cuts a fresh rng.permutation(n), drawn as it starts, into
+    consecutive batches, less a trailing one of fewer than drop_small
+    samples. Raises ValueError when that leaves no batch."""
+    steps = n // batch_size + (n % batch_size >= drop_small)
+    if steps == 0:
+        raise ValueError(f"dataset of {n} samples is too small to train on: "
+                         f"a batch needs at least {drop_small}")
+    starts = range(0, steps * batch_size, batch_size)
+    return steps, ([order[s:s + batch_size] for s in starts]
+                   for order in (rng.permutation(n) for _ in range(epochs)))
 
 
 def _chunk_rank(reps: np.ndarray) -> float:
@@ -224,8 +228,7 @@ def _cosine_adam(cfg: ExperimentConfig, steps_per_epoch: int) -> _Optimizer:
     """Adam with weight decay under warmup-then-cosine decay over cfg.epochs."""
     schedule = ScheduleConfig(cfg.base_lr, cfg.warmup_epochs * steps_per_epoch,
                               cfg.epochs * steps_per_epoch)
-    return _Optimizer(lambda step: cosine_lr(schedule, min(step, schedule.total_steps)),
-                      cfg.weight_decay)
+    return _Optimizer(lambda step: cosine_lr(schedule, step), cfg.weight_decay)
 
 
 def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
@@ -324,14 +327,12 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     classes = ds.num_classes if target == "y" else ds.num_bias_classes
     n, m = ds.inputs.shape
 
+    # a trailing batch of a single sample is skipped
+    steps_per_epoch, epochs = _epochs(n, cfg.batch_size, cfg.epochs,
+                                      stream(cfg.seed, "erm-batches"), 2)
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "erm-encoder-init"))
     head = DenseNet.init([cfg.latent_dim, classes], stream(cfg.seed, "erm-head-init"))
-    batch_rng = stream(cfg.seed, "erm-batches")
-    # trailing batches of a single sample are skipped
-    steps_per_epoch = n // cfg.batch_size + (1 if n % cfg.batch_size >= 2 else 0)
-    if steps_per_epoch == 0:
-        raise ValueError(f"dataset of {n} samples is too small to train on")
     opt = _cosine_adam(cfg, steps_per_epoch)
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
@@ -351,8 +352,6 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
             "eff_rank": _representation_rank(encoder, probe),
         }
 
-    epochs = (_epoch_batches(n, cfg.batch_size, batch_rng, drop_small=2)
-              for _ in range(cfg.epochs))
     log = _fit([encoder, head], ds.inputs.__getitem__, epochs, objective, opt,
                "erm_train", epoch_row)
     return Model(encoder, head), log
@@ -368,20 +367,18 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
     outputs. Labels are never read. The projection head is discarded;
     returns the encoder and a per-epoch log (loss, eff_rank, lr)."""
     n, m = ds.inputs.shape
-    if n < cfg.batch_size:
-        raise ValueError(
-            f"dataset of {n} samples is smaller than one batch ({cfg.batch_size})"
-        )
+    # only full batches, so every step has 2 * batch_size - 2 negatives per anchor
+    steps_per_epoch, epochs = _epochs(n, cfg.batch_size, cfg.epochs,
+                                      stream(cfg.seed, "pretrain-batches"), cfg.batch_size)
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "pretrain-encoder-init"))
     proj = DenseNet.init([cfg.latent_dim, cfg.proj_hidden, cfg.proj_dim],
                          stream(cfg.seed, "pretrain-proj-init"))
-    batch_rng = stream(cfg.seed, "pretrain-batches")
     aug_rng = stream(cfg.seed, "pretrain-augment")
 
     feature_std = ds.inputs.std(axis=0) if cfg.modality == "vector" else None
     shape = image_shape(ds) if cfg.modality == "cmnist-image" else None
-    opt = _cosine_adam(cfg, n // cfg.batch_size)
+    opt = _cosine_adam(cfg, steps_per_epoch)
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
     def views(idx):
@@ -394,7 +391,7 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
 
     def objective(idx, outs):
         loss, grad_views, grad_proj = stage1_loss(*outs, cfg.tau, cfg.lambda_reg)
-        return loss, {"loss": loss}, grad_proj, grad_views if cfg.lambda_reg > 0 else None
+        return loss, {"loss": loss}, grad_proj, grad_views
 
     def epoch_row(epoch, step, sums, count):
         return {
@@ -404,8 +401,6 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
             "lr": float(opt.lr(step)),
         }
 
-    epochs = (_epoch_batches(n, cfg.batch_size, batch_rng, drop_small=cfg.batch_size)
-              for _ in range(cfg.epochs))
     log = _fit([encoder, proj], views, epochs, objective, opt, "pretrain", epoch_row)
     return encoder, log
 
@@ -466,12 +461,11 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
     """Update the whole model (encoder and head) on the labeled set with the
     upweighted loss, using heavy-ball SGD and strong weight decay. The
     input model is left untouched; a finetuned copy is returned."""
+    objective = _upweighted(ds.y, error_set, cfg.lambda_up)
+    _, epochs = _epochs(len(ds), cfg.batch_size, cfg.finetune_epochs,
+                        stream(cfg.seed, "finetune-batches"), 2)
     tuned = model.copy()
-    batch_rng = stream(cfg.seed, "finetune-batches")
-    epochs = (_epoch_batches(len(ds), cfg.batch_size, batch_rng, drop_small=2)
-              for _ in range(cfg.finetune_epochs))
-    _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs,
-         _upweighted(ds.y, error_set, cfg.lambda_up),
+    _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs, objective,
          _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,
                     cfg.finetune_momentum),
          "finetune")

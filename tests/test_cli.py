@@ -230,6 +230,25 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["erm", "debias"])
+@pytest.mark.parametrize("row", ["7,7,1", "-1,-1,1", "0,4,0"])
+def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists(
+        ws, tmp_path, capsys, command, row):
+    data = tmp_path / "ds"
+    BiasedDataset.load(ws / "ds").save(data)  # 4 classes
+    labels = data / "labels.csv"
+    lines = labels.read_text().splitlines()
+    lines[1] = row
+    labels.write_text("\n".join(lines) + "\n")
+    ckpt = ws / "pre_b" / "encoder.ckpt"
+    argv = {"erm": ["erm", "--data", data],
+            "debias": ["debias", "--data", data, "--biased-ckpt", ckpt, "--main-ckpt", ckpt,
+                       "--label-fraction", 0.5]}[command]
+    assert run([*argv, "--out", tmp_path / "o", *NET]) == 2
+    assert f"{labels}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --------------------------------------------------------------- pretrain
 
 

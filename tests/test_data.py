@@ -2,6 +2,7 @@
 unbiased test sets, splits, and view augmentation."""
 
 import io
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -58,6 +59,27 @@ def test_dataset_rejects_inconsistent_alignment():
 def test_dataset_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         BiasedDataset(np.zeros((3, 2)), [0, 1], [0, 1], [True, True], 1.0, 2, 2)
+
+
+@pytest.mark.parametrize("name, value", [("y", -1), ("y", 2), ("b", -1), ("b", 2)])
+def test_dataset_rejects_labels_outside_their_classes(name, value):
+    ds = _tiny_ds()
+    labels = {"y": ds.y.copy(), "b": ds.b.copy()}
+    labels[name][1] = value
+    y, b = labels["y"], labels["b"]
+    with pytest.raises(ValueError,
+                       match=fr"^{name} must lie in \[0, 2\), got {value} at sample 1$"):
+        BiasedDataset(ds.inputs, y, b, b == spurious_map(y), 0.75, 2, 2)
+
+
+def test_load_names_labels_csv_for_labels_outside_their_classes(tmp_path):
+    _tiny_ds().save(tmp_path / "d")
+    path = tmp_path / "d" / "labels.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "7,7,1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: y must lie in [0, 2), got 7")):
+        BiasedDataset.load(tmp_path / "d")
 
 
 def test_group_counts_by_hand():

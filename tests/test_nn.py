@@ -337,6 +337,9 @@ def test_forward_apply_backward_match_preactivation_oracle():
     ([7, 1024, 2], 5000),
     ([64, 5], 100000),
     ([64, 10], 100000),
+    # fewer rows than one block, 1024 for this net: the batch is one block
+    *[([7, 256, 256, 64], n) for n in (0, 1, 255)],
+    ([64, 5], 5),
 ])
 def test_apply_in_blocks_equals_one_pass_over_the_batch(dims, n):
     rng = np.random.default_rng(31)

@@ -237,8 +237,56 @@ def test_pretrain_is_deterministic_and_logs_rank():
 
 
 def test_pretrain_rejects_dataset_smaller_than_batch():
-    with pytest.raises(ValueError, match="smaller than one batch"):
+    with pytest.raises(ValueError, match="dataset of 20 samples is too small to train on: "
+                                         "a batch needs at least 32"):
         pretrain_biased(tiny_ds(n=20), tiny_cfg())
+
+
+def _old_epoch_batches(n, batch_size, rng, drop_small):
+    """The epoch trainers' batch generator before _epochs took its place,
+    kept as the reference for the batches _epochs cuts."""
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        idx = order[start:start + batch_size]
+        if idx.size >= drop_small:
+            yield idx
+
+
+@pytest.mark.parametrize("drop_small", [2, 8])
+@pytest.mark.parametrize("remainder", [0, 1, 2, 7])
+def test_epochs_count_and_cut_the_batches_of_the_old_generator(drop_small, remainder):
+    batch_size, epochs = 8, 3
+    n = 5 * batch_size + remainder
+    steps, got = pipeline._epochs(n, batch_size, epochs, stream(7, "batches"), drop_small)
+    old_rng = stream(7, "batches")
+    want = [[idx.tolist() for idx in _old_epoch_batches(n, batch_size, old_rng, drop_small)]
+            for _ in range(epochs)]
+    got = [[idx.tolist() for idx in batches] for batches in got]
+    assert [len(batches) for batches in got] == [steps] * epochs
+    assert got == want
+
+
+def test_cosine_schedules_end_on_their_last_step():
+    # 330 rows in batches of 32: erm trains a trailing batch of 10, pretraining drops it
+    ds, cfg = tiny_ds(n=330), tiny_cfg()
+    _, erm_log = erm_train(ds, cfg)
+    _, pretrain_log = pretrain_biased(ds, cfg)
+    assert erm_log[-1]["lr"] == 0.0
+    assert pretrain_log[-1]["lr"] == 0.0
+
+
+def test_trainers_refuse_a_set_too_small_for_one_batch_with_one_error():
+    ds, cfg = tiny_ds(), tiny_cfg()
+    one_row = ds.take([0])
+    model = Model(DenseNet.init([ds.input_dim, 8], np.random.default_rng(0)),
+                  DenseNet.init([8, ds.num_classes], np.random.default_rng(1)))
+    match = "too small to train on"
+    with pytest.raises(ValueError, match=match):
+        erm_train(one_row, cfg)
+    with pytest.raises(ValueError, match=match):
+        pretrain_biased(ds.take(np.arange(cfg.batch_size - 1)), cfg)
+    with pytest.raises(ValueError, match=match):
+        finetune_semisup(model, one_row, None, cfg)
 
 
 @pytest.mark.parametrize("shape", [None, [3, 2, 2]], ids=["no-image-shape", "other-width"])

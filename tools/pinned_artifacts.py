@@ -15,9 +15,13 @@ sweep whose float grids are written as JSON integers, and a spectrum.
 Three more run on a small seeded IDX fixture that the tool writes with
 numpy alone: color-MNIST from it, image pretraining on that (the only
 commands that draw augmented image views) and a spectrum of the image
-encoder. The last three generate 5000 rows, pretrain a wide main encoder
-with a 2-wide output on them for one epoch and take its spectrum, whose
-nn.apply pass runs in row blocks through a narrow last layer.
+encoder. The last four generate 5000 rows, pretrain a wide main encoder
+with a 2-wide output on them for one epoch, take its spectrum and debias
+with it as both encoders. The spectrum's and the debias heads' nn.apply
+passes run in row blocks through a narrow last layer; the heads train on
+those features, so their checkpoints, written in full precision, change
+with any last bit of a blocked pass, which the spectrum's rounded CSVs
+may not show.
 
 The listing has one "<sha256>  <relative path>" line per file under
 OUT_DIR, sorted by path. manifest.json files are left out, as they hold
@@ -117,6 +121,9 @@ COMMANDS = [
                        "--warmup-epochs", "0", "--out", "pre_wide"]),
     ("spectrum-wide", ["spectrum", "--ckpt", "pre_wide/encoder.ckpt", "--data", "ds_wide",
                        "--out", "spec_wide"]),
+    ("debias-wide", ["debias", "--data", "ds_wide", "--biased-ckpt", "pre_wide/encoder.ckpt",
+                     "--main-ckpt", "pre_wide/encoder.ckpt", "--head-iters", "80",
+                     "--seed", "5", "--out", "debias_wide"]),
 ]
 
 
