@@ -135,7 +135,9 @@ class BiasedDataset:
     def load(cls, directory) -> "BiasedDataset":
         """Read a directory written by save. A malformed inputs.npy, or one
         whose row count differs from labels.csv, raises ValueError naming
-        its path; labels the dataset refuses raise it naming labels.csv."""
+        its path, as does a meta.json without a finite real bias_ratio and
+        positive integer num_classes and num_bias_classes; labels the
+        dataset refuses raise it naming labels.csv."""
         directory = Path(directory)
         inputs = _read_inputs(directory / INPUTS_NAME)
         labels = np.loadtxt(directory / "labels.csv", delimiter=",", skiprows=1,
@@ -143,13 +145,36 @@ class BiasedDataset:
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError(f"{directory / INPUTS_NAME}: {inputs.shape[0]} rows, "
                              f"but labels.csv has {labels.shape[0]}")
-        meta = json.loads((directory / "meta.json").read_text())
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path}: need a JSON object, got {type(meta).__name__}")
+        names = [f.name for f in fields(_MetaFields)]
+        missing = [name for name in names if name not in meta]
+        if missing:
+            raise ValueError(f"{meta_path}: no {', '.join(missing)}")
+        try:
+            known = _MetaFields(*(meta.pop(name) for name in names))
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: {exc}") from None
         try:
             return cls(inputs, labels[:, 0], labels[:, 1], labels[:, 2].astype(bool),
-                       meta.pop("bias_ratio"), meta.pop("num_classes"),
-                       meta.pop("num_bias_classes"), meta)
+                       known.bias_ratio, known.num_classes, known.num_bias_classes, meta)
         except ValueError as exc:
             raise ValueError(f"{directory / 'labels.csv'}: {exc}") from None
+
+
+@dataclass
+class _MetaFields:
+    """The fields of meta.json that load passes to the dataset, checked as
+    config fields are: a finite real and two positive integers."""
+
+    bias_ratio: float
+    num_classes: int
+    num_bias_classes: int
+
+    def __post_init__(self):
+        check_fields(self, {"num_classes": 1, "num_bias_classes": 1})
 
 
 def _read_inputs(path: Path) -> np.ndarray:

@@ -41,6 +41,10 @@ _BLOCK_BYTES = 2 << 20
 # from the kernels a whole pass uses; above the floor, a block's rows
 # come out byte-identical to those of one pass.
 _BLOCK_MIN_MACS = 1 << 20
+# adam_step and sgd_momentum_step update each parameter array this many
+# entries at a time (256 kB of float64), so an optimizer state's scratch
+# is one block, not a copy of the parameters
+_STEP_BLOCK = 1 << 15
 
 
 def _flat_size(layer_dims: list[int]) -> int:
@@ -213,31 +217,38 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad,
 
 @dataclass
 class AdamState:
-    """Adam moments per parameter array, and two scratch arrays of the
-    same shape each, so that a step allocates nothing."""
+    """Adam moments per parameter array, and two scratch arrays of one
+    block each (see _STEP_BLOCK), shared by every array. A step allocates
+    nothing, and the state holds twice the parameters plus two blocks."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
-    scratch: list[tuple[np.ndarray, np.ndarray]]
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
 
     @classmethod
     def init(cls, params) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params],
-                   [(np.empty_like(p), np.empty_like(p)) for p in params])
+        size = _scratch_size(params)
+        return cls([np.zeros(p.shape) for p in params], [np.zeros(p.shape) for p in params],
+                   (np.empty(size), np.empty(size)))
 
 
 @dataclass
 class MomentumState:
     """Heavy-ball velocity per parameter array, and one scratch array of
-    the same shape each, so that a step allocates nothing."""
+    one block (see _STEP_BLOCK), shared by every array. A step allocates
+    nothing, and the state holds the parameters' size plus one block."""
 
     velocity: list[np.ndarray]
-    scratch: list[np.ndarray]
+    scratch: np.ndarray
 
     @classmethod
     def init(cls, params) -> "MomentumState":
-        return cls([np.zeros_like(p) for p in params], [np.empty_like(p) for p in params])
+        return cls([np.zeros(p.shape) for p in params], np.empty(_scratch_size(params)))
+
+
+def _scratch_size(params) -> int:
+    return min(_STEP_BLOCK, max((p.size for p in params), default=0))
 
 
 def _check_shapes(params, grads, accs) -> None:
@@ -246,6 +257,23 @@ def _check_shapes(params, grads, accs) -> None:
     for p, g, a in zip(params, grads, accs):
         if p.shape != g.shape or p.shape != a.shape:
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}, state {a.shape}")
+        if not p.flags.c_contiguous:
+            raise ValueError("parameter arrays must be C-contiguous to be updated in place")
+
+
+def _blocks(arrays, scratch):
+    """Same-position views of the arrays, flattened, _STEP_BLOCK entries at
+    a time, each followed by the scratch arrays cut to the block's length.
+    Arrays of the scratch's own shape are one block and come whole, with
+    no views made: a head fit updates its one small vector thousands of
+    times, and the views would add a fifth to each update."""
+    if arrays[0].shape == scratch[0].shape:
+        return [[*arrays, *scratch]]
+    flats = [x.reshape(-1) for x in arrays]
+    size = flats[0].size
+    return ([x[start:start + _STEP_BLOCK] for x in flats]
+            + [s[:min(_STEP_BLOCK, size - start)] for s in scratch]
+            for start in range(0, size, _STEP_BLOCK))
 
 
 def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
@@ -254,34 +282,37 @@ def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 
 
     Every operation writes into the state's arrays, in the order of
     p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is the
-    same to the bit as that expression's."""
+    same to the bit as that expression's; each ufunc is element-wise, so
+    running it block by block changes no bit either."""
     _check_shapes(params, grads, state.m)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        if weight_decay:
-            g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
-        v *= ADAM_BETA2
-        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
-        update = np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        update /= np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
-        p -= update
+    for arrays in zip(params, grads, state.m, state.v):
+        for p, g, m, v, a, b in _blocks(arrays, state.scratch):
+            if weight_decay:
+                g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
+            v *= ADAM_BETA2
+            v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
+            update = np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+            update /= np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+            p -= update
 
 
 def sgd_momentum_step(params, grads, state: MomentumState, lr: float,
                       momentum: float = 0.9, weight_decay: float = 0.0) -> None:
-    """Heavy-ball SGD update, in place, writing into the state's arrays."""
+    """Heavy-ball SGD update, in place, block by block as adam_step."""
     _check_shapes(params, grads, state.velocity)
-    for p, g, vel, a in zip(params, grads, state.velocity, state.scratch):
-        if weight_decay:
-            g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
-        vel *= momentum
-        vel += g
-        p -= np.multiply(lr, vel, out=a)
+    for arrays in zip(params, grads, state.velocity):
+        for p, g, vel, a in _blocks(arrays, [state.scratch]):
+            if weight_decay:
+                g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
+            vel *= momentum
+            vel += g
+            p -= np.multiply(lr, vel, out=a)
 
 
 @dataclass

@@ -243,6 +243,13 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     epoch, epoch_row(epoch, steps so far, per-term sums, batch count)
     builds a log row. A non-finite loss raises TrainingDiverged carrying
     the rows so far.
+
+    Between steps the fit holds the parameters, the optimizer's moments
+    and its one block of scratch (see nn.AdamState), one gradient buffer
+    per net and whatever rows reads from. A step adds its batch,
+    activations, objective temporaries and backpropagated deltas, and
+    frees them when it returns, before the next step builds its batch:
+    at most one step is alive at a time.
     """
     params = [net.flat for net in nets]
     state = (AdamState if opt.momentum is None else MomentumState).init(params)
@@ -250,35 +257,38 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     grads = [DenseNet(net.layer_dims) for net in nets]
     flat_grads = [g.flat for g in grads]
     log: list[dict] = []
-    # refilled slot by slot, so each array of the previous step is freed
-    # only once its replacement exists; freeing a whole step at once let
-    # the allocator trim the heap and fault the pages back in every step
-    outs, caches = [None] * len(nets), [None] * len(nets)
+
+    def train_step(idx, epoch, step):
+        # a function, so that the step's arrays are freed when it returns
+        h = rows(idx)
+        outs, caches = [], []
+        for net in nets:
+            h, cache = forward(net, h)
+            outs.append(h)
+            caches.append(cache)
+        loss, terms, grad, extra = objective(idx, outs)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
+            )
+        for i in reversed(range(len(nets))):
+            if i == 0 and extra is not None:
+                grad = grad + extra
+            _, grad = backward(nets[i], caches[i], grad, out=grads[i], input_grad=i > 0)
+        if opt.momentum is None:
+            adam_step(params, flat_grads, state, opt.lr(step),
+                      weight_decay=opt.weight_decay)
+        else:
+            sgd_momentum_step(params, flat_grads, state, opt.lr(step),
+                              momentum=opt.momentum, weight_decay=opt.weight_decay)
+        return terms
+
     step = 0
     for epoch, batches in enumerate(epochs):
         sums: dict[str, float] = {}
         count = 0
         for idx in batches:
-            h = rows(idx)
-            for i, net in enumerate(nets):
-                h, caches[i] = forward(net, h)
-                outs[i] = h
-            loss, terms, grad, extra = objective(idx, outs)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
-                )
-            for i in reversed(range(len(nets))):
-                if i == 0 and extra is not None:
-                    grad = grad + extra
-                _, grad = backward(nets[i], caches[i], grad, out=grads[i], input_grad=i > 0)
-            if opt.momentum is None:
-                adam_step(params, flat_grads, state, opt.lr(step),
-                          weight_decay=opt.weight_decay)
-            else:
-                sgd_momentum_step(params, flat_grads, state, opt.lr(step),
-                                  momentum=opt.momentum, weight_decay=opt.weight_decay)
-            for name, value in terms.items():
+            for name, value in train_step(idx, epoch, step).items():
                 sums[name] = sums.get(name, 0.0) + value
             count += 1
             step += 1

@@ -249,6 +249,22 @@ def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("edit", ["num_classes as a string", "no bias_ratio"])
+def test_malformed_meta_json_exits_2_naming_it_before_out_exists(ws, tmp_path, capsys, edit):
+    data = tmp_path / "ds"
+    BiasedDataset.load(ws / "ds").save(data)
+    path = data / "meta.json"
+    meta = json.loads(path.read_text())
+    if edit == "no bias_ratio":
+        del meta["bias_ratio"]
+    else:
+        meta["num_classes"] = str(meta["num_classes"])
+    path.write_text(json.dumps(meta))
+    assert run(["erm", "--data", data, "--out", tmp_path / "o", *NET]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --------------------------------------------------------------- pretrain
 
 

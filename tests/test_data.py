@@ -2,6 +2,7 @@
 unbiased test sets, splits, and view augmentation."""
 
 import io
+import json
 import re
 import tempfile
 import tracemalloc
@@ -79,6 +80,43 @@ def test_load_names_labels_csv_for_labels_outside_their_classes(tmp_path):
     lines[1] = "7,7,1"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: y must lie in [0, 2), got 7")):
+        BiasedDataset.load(tmp_path / "d")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("num_classes", "2", "num_classes must be integral, got '2'"),
+    ("num_classes", True, "num_classes must be integral, got True"),
+    ("num_classes", 2.0, "num_classes must be integral, got 2.0"),
+    ("num_classes", 0, "num_classes must be >= 1, got 0"),
+    ("num_bias_classes", "2", "num_bias_classes must be integral, got '2'"),
+    ("num_bias_classes", False, "num_bias_classes must be integral, got False"),
+    ("num_bias_classes", 2.5, "num_bias_classes must be integral, got 2.5"),
+    ("bias_ratio", "0.75", "bias_ratio must be real, got '0.75'"),
+    ("bias_ratio", True, "bias_ratio must be real, got True"),
+    ("bias_ratio", None, "bias_ratio must be real, got None"),
+    ("bias_ratio", 1e400, "bias_ratio must be finite, got inf"),
+    ("bias_ratio", "missing", "no bias_ratio"),
+    ("num_classes", "missing", "no num_classes"),
+    ("num_bias_classes", "missing", "no num_bias_classes"),
+])
+def test_load_refuses_a_malformed_meta_json_naming_it(tmp_path, key, value, message):
+    _tiny_ds().save(tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    meta = json.loads(path.read_text())
+    if value == "missing":
+        del meta[key]
+    else:
+        meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        BiasedDataset.load(tmp_path / "d")
+
+
+def test_load_refuses_a_meta_json_that_is_not_an_object(tmp_path):
+    _tiny_ds().save(tmp_path / "d")
+    path = tmp_path / "d" / "meta.json"
+    path.write_text("[2, 2]")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: need a JSON object, got list")):
         BiasedDataset.load(tmp_path / "d")
 
 

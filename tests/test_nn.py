@@ -21,6 +21,7 @@ from rankdebias.nn import (
     ForwardCache,
     MomentumState,
     ScheduleConfig,
+    _STEP_BLOCK,
     _layer_outputs,
     adam_step,
     apply,
@@ -466,7 +467,10 @@ def _reference_step(kind, p, g, acc, lr, wd, t):
 @pytest.mark.parametrize("wd", [0.0, 0.01])
 def test_optimizer_step_is_bit_identical_to_reference_and_allocates_nothing(kind, wd):
     rng = np.random.default_rng(20)
-    shapes = [(300, 200), (200,)]
+    # about 2.5 blocks, not a whole number of them, then less than a block
+    shapes = [(5 * _STEP_BLOCK // 256 + 1, 128), (_STEP_BLOCK // 3,)]
+    big = shapes[0][0] * shapes[0][1]
+    assert big % _STEP_BLOCK and 2 * _STEP_BLOCK < big < 3 * _STEP_BLOCK
     params = [rng.normal(size=s) for s in shapes]
     ref = [p.copy() for p in params]
     ref_acc = [[np.zeros(s) for s in shapes] for _ in range(2 if kind == "adam" else 1)]
@@ -490,12 +494,43 @@ def test_optimizer_step_is_bit_identical_to_reference_and_allocates_nothing(kind
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # one temporary of the big array would be 480 kB
+            # one temporary of the big array would be 656 kB, of a block 256 kB
             assert peak < 16 * 1024
         for i in range(len(shapes)):
             _reference_step(kind, ref[i], grads[i], [a[i] for a in ref_acc], lr, wd, t)
     for p, r in zip(params, ref):
         assert p.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("kind, copies", [("adam", 2), ("sgd", 1)])
+def test_optimizer_state_holds_its_moments_and_one_block_of_scratch(kind, copies):
+    # the flat vector of the image encoder [2352, 256, 256, 64], a 5.5 MB
+    # vector; Adam keeps two moments and two scratch blocks, momentum one each
+    flat = np.zeros(684_608)
+    tracemalloc.start()
+    try:
+        state = (AdamState if kind == "adam" else MomentumState).init([flat])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= copies * (flat.nbytes + 8 * _STEP_BLOCK) + 64 * 1024
+    scratch = state.scratch if kind == "adam" else (state.scratch,)
+    assert [a.shape for a in scratch] == [(_STEP_BLOCK,)] * copies
+
+
+def test_optimizer_scratch_is_no_larger_than_the_largest_array():
+    params = [np.zeros((3, 4)), np.zeros(5)]
+    assert [a.shape for a in AdamState.init(params).scratch] == [(12,), (12,)]
+    assert MomentumState.init(params).scratch.shape == (12,)
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_optimizer_refuses_a_parameter_it_cannot_update_in_place(kind):
+    p = [np.zeros((4, 3)).T]
+    state = (AdamState if kind == "adam" else MomentumState).init(p)
+    step = adam_step if kind == "adam" else sgd_momentum_step
+    with pytest.raises(ValueError, match="C-contiguous"):
+        step(p, [np.ones((3, 4))], state, 0.1)
 
 
 # ------------------------------------------------------------- sgd momentum

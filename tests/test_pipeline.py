@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 
 from rankdebias import pipeline
 from rankdebias.data import BiasedDataset, GenConfig, gen_colorpoints
-from rankdebias.nn import DenseNet, apply, forward
+from rankdebias.nn import _STEP_BLOCK, DenseNet, apply, forward
 from rankdebias.pipeline import (
     ErrorSet,
     ExperimentConfig,
@@ -458,34 +459,42 @@ def test_finetune_rejects_stale_error_set():
 # ------------------------------------------------------- whole-step oracle
 
 
-class _FirstStepTaken(Exception):
+class _StepTaken(Exception):
     pass
 
 
-def first_step(monkeypatch, train) -> dict:
-    """What _fit's first step inside train() sees: the nets before the step,
-    the batch indices, the rows fed to the first net (augmented views
-    included), the objective and the flat_grads handed to the optimizer,
-    which stops the training."""
-    seen = {}
+def watch_step(monkeypatch, train, at: int = 0) -> dict:
+    """What _fit's step number `at` (0 for the first) inside train() sees:
+    the nets before the step, the batch indices, the rows fed to the first
+    net (augmented views included), the objective and the flat_grads
+    handed to the optimizer, which then stops the training. Earlier steps
+    run in full; "sizes" lists the batch size of every step so far."""
+    seen = {"sizes": []}
     fit = pipeline._fit
 
     def spy_fit(nets, rows, epochs, objective, opt, *args):
         def spy_rows(idx):
+            seen["nets"] = [net.copy() for net in nets]
             seen["idx"], seen["rows"] = idx, rows(idx)
+            seen["sizes"].append(len(idx))
             return seen["rows"]
 
-        seen["nets"], seen["objective"] = [net.copy() for net in nets], objective
+        seen["objective"] = objective
         return fit(nets, spy_rows, epochs, objective, opt, *args)
 
-    def stop(params, flat_grads, *args, **kwargs):
-        seen["grads"] = [g.copy() for g in flat_grads]
-        raise _FirstStepTaken
+    def stop_at(real):
+        def step(params, flat_grads, *args, **kwargs):
+            if len(seen["sizes"]) > at:
+                seen["grads"] = [g.copy() for g in flat_grads]
+                raise _StepTaken
+            real(params, flat_grads, *args, **kwargs)
+
+        return step
 
     monkeypatch.setattr(pipeline, "_fit", spy_fit)
-    monkeypatch.setattr(pipeline, "adam_step", stop)
-    monkeypatch.setattr(pipeline, "sgd_momentum_step", stop)
-    with pytest.raises(_FirstStepTaken):
+    for name in ("adam_step", "sgd_momentum_step"):
+        monkeypatch.setattr(pipeline, name, stop_at(getattr(pipeline, name)))
+    with pytest.raises(_StepTaken):
         train()
     return seen
 
@@ -499,23 +508,31 @@ def step_objective(seen) -> float:
     return seen["objective"](seen["idx"], outs)[0]
 
 
-@pytest.mark.parametrize("case", ["erm", "pretrain", "upweighted-head"])
+@pytest.mark.parametrize("case", ["erm", "pretrain", "upweighted-head",
+                                  "erm-after-short-batch"])
 def test_first_step_gradients_match_central_differences(monkeypatch, case):
     # the whole step: chained backward, the rank term's extra gradient on
-    # the first net's output, and the upweighted loss
+    # the first net's output, and the upweighted loss; after a short
+    # batch, a step must not see anything the one before it left behind
     cfg = tiny_cfg(lambda_reg=0.5, lambda_up=4.0, batch_size=8, hidden_dims=(5,),
                    latent_dim=4, proj_hidden=5, proj_dim=3)
     ds = tiny_ds(n=40, classes=3)
     if case == "erm":
-        seen = first_step(monkeypatch, lambda: erm_train(ds, cfg))
+        seen = watch_step(monkeypatch, lambda: erm_train(ds, cfg))
     elif case == "pretrain":
-        seen = first_step(monkeypatch, lambda: pretrain_biased(ds, cfg))
-    else:
+        seen = watch_step(monkeypatch, lambda: pretrain_biased(ds, cfg))
+    elif case == "upweighted-head":
         reps = np.random.default_rng(2).standard_normal((40, 4))
         error_set = ErrorSet(np.arange(0, 40, 3), np.zeros(40, dtype=np.int64))
-        seen = first_step(monkeypatch, lambda: pipeline._train_head(
+        seen = watch_step(monkeypatch, lambda: pipeline._train_head(
             reps, ds.y, 3, cfg, "oracle-head", error_set=error_set))
-    assert len(seen["grads"]) == {"erm": 2, "pretrain": 2, "upweighted-head": 1}[case]
+    else:
+        # 43 rows in batches of 8: epoch 1 ends on a batch of 3, and the
+        # step checked is epoch 2's first
+        seen = watch_step(monkeypatch, lambda: erm_train(tiny_ds(n=43, classes=3), cfg), at=6)
+        assert seen["sizes"] == [8] * 5 + [3, 8]
+    assert len(seen["grads"]) == {"erm": 2, "pretrain": 2, "upweighted-head": 1,
+                                  "erm-after-short-batch": 2}[case]
     for net, grad in zip(seen["nets"], seen["grads"]):
         start = net.flat.copy()
 
@@ -527,6 +544,96 @@ def test_first_step_gradients_match_central_differences(monkeypatch, case):
                 net.flat[:] = start
 
         assert helpers.rel_err(grad, helpers.central_diff(objective_at, start)) < 1e-6
+
+
+# ------------------------------------------------------- warm-step memory
+
+
+def warm_step_peak(monkeypatch, train) -> int:
+    """The most memory train() holds, under tracemalloc, from the end of its
+    first optimizer step on. train runs once untraced first, so that lazy
+    imports and caches are in place; what it was given before tracing
+    starts, the dataset, is not counted."""
+    train()
+    peaks = []
+    adam = pipeline.adam_step
+
+    def step_then_mark(*args, **kwargs):
+        adam(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(pipeline, "adam_step", step_then_mark)
+    tracemalloc.start()
+    try:
+        train()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 3
+    return max(peaks[1:])
+
+
+def fit_state_bytes(*nets: DenseNet) -> int:
+    """What a fit under Adam keeps between steps: each net's parameters,
+    two moments and a gradient, and two blocks of optimizer scratch."""
+    sizes = [net.flat.size for net in nets]
+    return 8 * (4 * sum(sizes) + 2 * min(_STEP_BLOCK, max(sizes)))
+
+
+def test_a_warm_image_pretraining_step_holds_one_step(monkeypatch):
+    B, (c, h, w) = 64, (3, 28, 28)
+    D = c * h * w
+    rng = np.random.default_rng(40)
+    y = rng.integers(0, 3, 256)
+    ds = BiasedDataset(rng.random((256, D)), y, y, np.ones(256, dtype=bool), 1.0, 3, 3,
+                       {"image_shape": [c, h, w]})
+    cfg = tiny_cfg(epochs=2, batch_size=B, hidden_dims=(64,), latent_dim=16, proj_hidden=32,
+                   proj_dim=16, lambda_reg=0.1, modality="cmnist-image")
+    peak = warm_step_peak(monkeypatch, lambda: pretrain_biased(ds, cfg))
+    state = fit_state_bytes(DenseNet([D, 64, 16]), DenseNet([16, 32, 16]))
+    # a step peaks while it builds its batch: the B rows it reads, the
+    # two views, and augment_image_batch's three working arrays of B
+    # images, with 256 kB for the draws and index arrays; the 2B rows'
+    # activations and the contrastive loss's 2B x 2B matrices come after
+    # the augmentation's arrays are freed. The bound sits about 0.5 MB
+    # above the peak, and a step kept alive into the next one's batch
+    # would add its 2B rows, 2.4 MB.
+    step = 8 * 6 * B * D + (1 << 18)
+    assert peak < state + step, (peak, state, step)
+
+
+def test_a_warm_erm_step_holds_one_step(monkeypatch):
+    B, dims = 128, [5, 256, 256, 64]
+    ds = tiny_ds(n=1024, classes=3)
+    cfg = tiny_cfg(epochs=2, batch_size=B, hidden_dims=tuple(dims[1:-1]),
+                   latent_dim=dims[-1], lambda_reg=0.1)
+    peak = warm_step_peak(monkeypatch, lambda: erm_train(ds, cfg))
+    state = fit_state_bytes(DenseNet(dims), DenseNet([dims[-1], 3]))
+    # forward keeps the batch and every layer's output, the logits
+    # included; backward adds two deltas as wide as the widest layer; the
+    # rank penalty and the gradient on the representation take six copies
+    # of the B x 64 outputs. The bound sits about 0.25 MB above the peak,
+    # and a step kept alive would add its outputs, 0.6 MB.
+    step = 8 * B * (sum(dims) + 3 + 2 * max(dims) + 6 * dims[-1])
+    assert peak < state + step, (peak, state, step)
+
+
+def test_a_warm_head_step_holds_one_step(monkeypatch):
+    B, n, width, classes = 512, 4000, 64, 3
+    rng = np.random.default_rng(41)
+    reps, labels = rng.normal(size=(n, width)), rng.integers(0, classes, n)
+    cfg = tiny_cfg(head_iters=6, batch_size=B)
+    peak = warm_step_peak(monkeypatch,
+                          lambda: pipeline._train_head(reps, labels, classes, cfg, "h"))
+    # the upweighted loss's per-sample weights are made once, before the
+    # first step
+    state = fit_state_bytes(DenseNet([width, classes])) + 8 * n
+    # the batch's rows, the cross-entropy's B x classes arrays and 64 kB
+    # for its index arrays. The bound sits about 75 kB above the peak, and
+    # a step kept alive would add its rows, 256 kB.
+    step = 8 * B * (width + 8 * classes) + (1 << 16)
+    assert peak < state + step, (peak, state, step)
 
 
 # ---------------------------------------------------------------- evaluate
