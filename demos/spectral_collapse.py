@@ -7,9 +7,11 @@ directions the network keeps, and the worse it transfers. Runs in a few
 minutes on one core.
 """
 
+from dataclasses import replace
+
 from rankdebias.data import GenConfig, gen_colorpoints, make_unbiased_testset
 from rankdebias.nn import apply
-from rankdebias.pipeline import ExperimentConfig, rank_trajectory
+from rankdebias.pipeline import ExperimentConfig, erm_train, evaluate
 from rankdebias.spectral import normalized_spectrum, svd_values
 
 RATIOS = [0.95, 0.98, 0.99, 0.995]
@@ -29,6 +31,25 @@ def make_testset():
     return make_unbiased_testset(source, seed=901)
 
 
+def rank_trajectory(bias_ratios, make_dataset, test, cfg):
+    """Plain supervised training across a family of bias ratios:
+    (a row per ratio, the model trained at each ratio).
+
+    make_dataset(r) returns the training set for ratio r, and test is the
+    unbiased evaluation set. Each row records the representation rank and
+    the unbiased accuracy on test.
+    """
+    plain = replace(cfg, lambda_reg=0.0)
+    rows, models = [], []
+    for r in bias_ratios:
+        model, _ = erm_train(make_dataset(float(r)), plain)
+        report = evaluate(model, test)
+        rows.append({"r": float(r), "eff_rank": report.eff_rank,
+                     "unbiased_acc": report.unbiased_acc})
+        models.append(model)
+    return rows, models
+
+
 def main():
     cfg = ExperimentConfig(epochs=60, warmup_epochs=6, base_lr=1e-3,
                            weight_decay=3e-3, hidden_dims=(256, 256),
@@ -36,7 +57,8 @@ def main():
     print(f"classifier: {cfg.hidden_dims} -> {cfg.latent_dim}, "
           f"{cfg.epochs} epochs per ratio")
     print(f"{'r':>6} {'eff_rank':>9} {'unbiased_acc':>13}")
-    rows = rank_trajectory(RATIOS, make_dataset, make_testset, cfg)
+    test = make_testset()
+    rows, models = rank_trajectory(RATIOS, make_dataset, test, cfg)
     for row in rows:
         print(f"{row['r']:>6} {row['eff_rank']:>9.3f} {row['unbiased_acc']:>12.1f}%")
     drop = 100.0 * (rows[0]["eff_rank"] - rows[-1]["eff_rank"]) / rows[0]["eff_rank"]
@@ -44,10 +66,7 @@ def main():
 
     # the flattening is visible in the spectrum itself: compare how fast
     # the top singular values decay at the two extremes
-    from rankdebias.pipeline import erm_train
-    test = make_testset()
-    for r in (RATIOS[0], RATIOS[-1]):
-        model, _ = erm_train(make_dataset(r), cfg)
+    for r, model in ((RATIOS[0], models[0]), (RATIOS[-1], models[-1])):
         values = svd_values(apply(model.encoder, test.inputs))
         top = " ".join(f"{v:.3f}" for v in normalized_spectrum(values)[:8])
         print(f"r={r}: top normalized singular values {top}")

@@ -39,7 +39,6 @@ from .pipeline import (
     identify_error_set,
     pretrain_biased,
     pretrain_main,
-    rank_trajectory,
     stream,
 )
 from .manifest import RunManifest, hash_path, write_manifest
@@ -83,7 +82,6 @@ __all__ = [
     "identify_error_set",
     "pretrain_biased",
     "pretrain_main",
-    "rank_trajectory",
     "stream",
     "RunManifest",
     "hash_path",

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import shutil
 import signal
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -55,9 +55,8 @@ from .manifest import (
     MANIFEST_NAME,
     STAGE_PREFIX,
     RunManifest,
-    finish_clock,
     hash_path,
-    start_clock,
+    read_json,
     write_json,
     write_manifest,
 )
@@ -130,8 +129,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         path = Path(args.config)
         if not path.is_file():
             raise FileNotFoundError(f"no config file at {path}")
-        values.update(_config_fields(json.loads(path.read_text()), ExperimentConfig,
-                                     f"config file {path}"))
+        values.update(_config_fields(read_json(path), ExperimentConfig, f"config file {path}"))
     for f in fields(ExperimentConfig):
         if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)
@@ -222,7 +220,7 @@ def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
     _remove_dead_stages(out)
     # inside out, so every rename of the commit stays on one filesystem
     stage = Path(tempfile.mkdtemp(prefix=f"{STAGE_PREFIX}{os.getpid()}-", dir=out))
-    clock = start_clock()
+    started = time.time()
     try:
         try:
             code = work(stage, manifest.content_hash()) or 0
@@ -241,7 +239,9 @@ def _run(out: Path, command: str, config: dict, seed: int, inputs: dict, work,
             for path in staged:
                 os.replace(path, out / path.name)
             if manifest is not None:
-                manifest.wall_clock = finish_clock(clock)
+                finished = time.time()
+                manifest.wall_clock = {"started_unix": started, "finished_unix": finished,
+                                       "duration_s": finished - started}
                 write_manifest(stage, manifest)
                 os.replace(stage / MANIFEST_NAME, out / MANIFEST_NAME)
         except OSError as exc:
@@ -541,8 +541,7 @@ def cmd_sweep(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
         raise FileNotFoundError(f"no sweep spec file at {spec_path}")
-    values = _config_fields(json.loads(spec_path.read_text()), SweepSpec,
-                            f"sweep spec {spec_path}")
+    values = _config_fields(read_json(spec_path), SweepSpec, f"sweep spec {spec_path}")
     base = ExperimentConfig(**_config_fields(values.get("config", {}), ExperimentConfig,
                                              f"config of sweep spec {spec_path}"))
     spec = SweepSpec(**{**{name: [getattr(base, name)] for name in SWEEP_GRIDS[1:]}, **values})
@@ -657,7 +656,7 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, _exit_on_signal) if on_main else None
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -10,7 +10,6 @@ of samples whose bias agrees with the spuriously associated class.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .manifest import write_json
+from .manifest import read_json, write_json
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -136,17 +135,25 @@ class BiasedDataset:
         """Read a directory written by save. A malformed inputs.npy, or one
         whose row count differs from labels.csv, raises ValueError naming
         its path, as does a meta.json without a finite real bias_ratio and
-        positive integer num_classes and num_bias_classes; labels the
-        dataset refuses raise it naming labels.csv."""
+        positive integer num_classes and num_bias_classes; a labels.csv
+        that is not rows of three integers, or whose labels the dataset
+        refuses, raises it naming labels.csv."""
         directory = Path(directory)
         inputs = _read_inputs(directory / INPUTS_NAME)
-        labels = np.loadtxt(directory / "labels.csv", delimiter=",", skiprows=1,
-                            dtype=np.int64, ndmin=2)
+        labels_path = directory / "labels.csv"
+        try:
+            labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, dtype=np.int64,
+                                ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{labels_path}: {exc}") from None
+        if labels.shape[1] != 3:
+            raise ValueError(f"{labels_path}: need 3 columns (y, b, aligned), "
+                             f"got {labels.shape[1]}")
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError(f"{directory / INPUTS_NAME}: {inputs.shape[0]} rows, "
                              f"but labels.csv has {labels.shape[0]}")
         meta_path = directory / "meta.json"
-        meta = json.loads(meta_path.read_text())
+        meta = read_json(meta_path)
         if not isinstance(meta, dict):
             raise ValueError(f"{meta_path}: need a JSON object, got {type(meta).__name__}")
         names = [f.name for f in fields(_MetaFields)]
@@ -161,7 +168,7 @@ class BiasedDataset:
             return cls(inputs, labels[:, 0], labels[:, 1], labels[:, 2].astype(bool),
                        known.bias_ratio, known.num_classes, known.num_bias_classes, meta)
         except ValueError as exc:
-            raise ValueError(f"{directory / 'labels.csv'}: {exc}") from None
+            raise ValueError(f"{labels_path}: {exc}") from None
 
 
 @dataclass
@@ -373,33 +380,33 @@ def gen_colorpoints(cfg: GenConfig) -> BiasedDataset:
     return ds
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Read a big-endian IDX image file into a uint8 (n, rows, cols) array."""
+def _read_idx(path, magic: int, ndim: int, item: str) -> np.ndarray:
+    """The uint8 array of a big-endian IDX file: the magic, ndim u32 sizes,
+    then the bytes. A short header, another magic or a file whose size the
+    header does not give raises ValueError naming path."""
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated IDX image header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise ValueError(f"{path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    expected = 16 + n * rows * cols
+    start = 4 * (1 + ndim)
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated IDX {item} header")
+    found, *shape = struct.unpack(f">{1 + ndim}I", raw[:start])
+    if found != magic:
+        raise ValueError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    expected = start + math.prod(shape)
     if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes for {n} images, got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, rows, cols)
+        raise ValueError(f"{path}: expected {expected} bytes for {shape[0]} {item}s, "
+                         f"got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(shape)
+
+
+def read_idx_images(path) -> np.ndarray:
+    """Read a big-endian IDX image file into a uint8 (n, rows, cols) array."""
+    return _read_idx(path, IDX_IMAGES_MAGIC, 3, "image")
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Read a big-endian IDX label file into a uint8 (n,) array."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated IDX label header")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise ValueError(f"{path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-    if len(raw) != 8 + n:
-        raise ValueError(f"{path}: expected {8 + n} bytes for {n} labels, got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=8)
+    return _read_idx(path, IDX_LABELS_MAGIC, 1, "label")
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +19,6 @@ MANIFEST_NAME = "manifest.json"
 # a run stages its artifacts in a directory of this prefix inside --out
 STAGE_PREFIX = ".stage-"
 HASH_CHUNK_BYTES = 1 << 20
-
-
-def hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _hash_file(path: Path) -> str:
@@ -76,22 +71,11 @@ class RunManifest:
     def content_hash(self) -> str:
         """Hash of the manifest with wall-clock metadata excluded, so the
         value is identical across reruns of the same command."""
-        return hash_bytes(json.dumps(self._body(), sort_keys=True).encode())
+        return hashlib.sha256(json.dumps(self._body(), sort_keys=True).encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {**self._body(), "manifest_hash": self.content_hash(),
                 "wall_clock": self.wall_clock}
-
-
-def start_clock() -> dict:
-    return {"started_unix": time.time()}
-
-
-def finish_clock(clock: dict) -> dict:
-    now = time.time()
-    clock["finished_unix"] = now
-    clock["duration_s"] = now - clock["started_unix"]
-    return clock
 
 
 def write_json(path, payload: dict) -> None:
@@ -100,6 +84,15 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path):
+    """The JSON value in the file at path. A file that does not hold JSON
+    text raises ValueError starting with path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_manifest(out_dir, manifest: RunManifest) -> None:

@@ -14,7 +14,6 @@ can be checked against finite differences.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifest import write_json
+from .manifest import read_json, write_json
 
 CHECKPOINT_MAGIC = b"DFND"
 CHECKPOINT_VERSION = 1
@@ -102,10 +101,6 @@ class DenseNet:
     @property
     def out_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def params(self) -> list[np.ndarray]:
-        """Views into flat, alternating weight and bias per layer."""
-        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def copy(self) -> "DenseNet":
         return DenseNet(list(self.layer_dims), self.flat.copy())
@@ -397,7 +392,4 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")
-    sidecar = {}
-    if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
-    return net, sidecar
+    return net, read_json(sidecar_path) if sidecar_path.exists() else {}

@@ -119,9 +119,6 @@ class Model:
         # np.argmax keeps the smallest index on ties
         return np.argmax(self.logits(X), axis=1)
 
-    def copy(self) -> "Model":
-        return Model(self.encoder.copy(), self.head.copy())
-
 
 @dataclass
 class ErrorSet:
@@ -204,11 +201,6 @@ def _chunk_rank(reps: np.ndarray) -> float:
             break
         ranks.append(effective_rank(svd_values(chunk)))
     return float(np.mean(ranks))
-
-
-def _representation_rank(encoder: DenseNet, X: np.ndarray) -> float:
-    """Mean effective rank of the encoder's outputs on X, as _chunk_rank."""
-    return _chunk_rank(apply(encoder, X))
 
 
 # ------------------------------------------------------------- training loop
@@ -359,7 +351,7 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
             "ce": float(sums["ce"] / count),
             "rank_term": float(sums["rank_term"] / count),
             "lr": float(opt.lr(step)),
-            "eff_rank": _representation_rank(encoder, probe),
+            "eff_rank": _chunk_rank(apply(encoder, probe)),
         }
 
     log = _fit([encoder, head], ds.inputs.__getitem__, epochs, objective, opt,
@@ -407,7 +399,7 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
         return {
             "epoch": epoch,
             "loss": float(sums["loss"] / count),
-            "eff_rank": _representation_rank(encoder, probe),
+            "eff_rank": _chunk_rank(apply(encoder, probe)),
             "lr": float(opt.lr(step)),
         }
 
@@ -474,7 +466,7 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
     objective = _upweighted(ds.y, error_set, cfg.lambda_up)
     _, epochs = _epochs(len(ds), cfg.batch_size, cfg.finetune_epochs,
                         stream(cfg.seed, "finetune-batches"), 2)
-    tuned = model.copy()
+    tuned = Model(model.encoder.copy(), model.head.copy())
     _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs, objective,
          _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,
                     cfg.finetune_momentum),
@@ -698,27 +690,3 @@ def run_jobs(fn, jobs) -> list:
             raise value
         results.append(value)
     return results
-
-
-def rank_trajectory(bias_ratios, make_dataset, make_testset,
-                    cfg: ExperimentConfig, target: str = "y") -> list[dict]:
-    """Plain supervised training across a family of bias ratios.
-
-    make_dataset(r) must return the training set for ratio r and
-    make_testset() the unbiased evaluation set. Records the representation
-    rank and unbiased accuracy per ratio.
-    """
-    test = make_testset()
-    labels = test.y if target == "y" else test.b
-    plain = replace(cfg, lambda_reg=0.0)
-    rows = []
-    for r in bias_ratios:
-        ds = make_dataset(float(r))
-        model, _ = erm_train(ds, plain, target=target)
-        acc = 100.0 * float(np.mean(model.predict(test.inputs) == labels))
-        rows.append({
-            "r": float(r),
-            "eff_rank": _representation_rank(model.encoder, test.inputs),
-            "unbiased_acc": acc,
-        })
-    return rows

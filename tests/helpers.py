@@ -31,23 +31,20 @@ def central_diff(f, X, h=1e-5):
 
 
 def net_central_diff(loss_fn, net, h=1e-5):
-    """Central differences of loss_fn(net) for every parameter, in
-    net.params() order. Mutates parameters in place and restores them."""
-    grads = []
-    for p in net.params():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            fp = loss_fn(net)
-            p[idx] = orig - h
-            fm = loss_fn(net)
-            p[idx] = orig
-            g[idx] = (fp - fm) / (2.0 * h)
-        grads.append(g)
-    return grads
+    """Central differences of loss_fn(net) for every parameter, as a net of
+    net's layer_dims whose flat holds them. Mutates each entry of net.flat
+    in place and restores it."""
+    p = net.flat
+    g = np.zeros_like(p)
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        fp = loss_fn(net)
+        p[i] = orig - h
+        fm = loss_fn(net)
+        p[i] = orig
+        g[i] = (fp - fm) / (2.0 * h)
+    return type(net)(net.layer_dims, g)
 
 
 def rel_err(approx, ref):

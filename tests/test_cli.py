@@ -231,7 +231,7 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
 
 
 @pytest.mark.parametrize("command", ["erm", "debias"])
-@pytest.mark.parametrize("row", ["7,7,1", "-1,-1,1", "0,4,0"])
+@pytest.mark.parametrize("row", ["7,7,1", "-1,-1,1", "0,4,0", "0,x,1"])
 def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists(
         ws, tmp_path, capsys, command, row):
     data = tmp_path / "ds"
@@ -249,7 +249,7 @@ def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("edit", ["num_classes as a string", "no bias_ratio"])
+@pytest.mark.parametrize("edit", ["num_classes as a string", "no bias_ratio", "not JSON"])
 def test_malformed_meta_json_exits_2_naming_it_before_out_exists(ws, tmp_path, capsys, edit):
     data = tmp_path / "ds"
     BiasedDataset.load(ws / "ds").save(data)
@@ -259,8 +259,24 @@ def test_malformed_meta_json_exits_2_naming_it_before_out_exists(ws, tmp_path, c
         del meta["bias_ratio"]
     else:
         meta["num_classes"] = str(meta["num_classes"])
-    path.write_text(json.dumps(meta))
+    path.write_text("{not json" if edit == "not JSON" else json.dumps(meta))
     assert run(["erm", "--data", data, "--out", tmp_path / "o", *NET]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("culprit", ["config", "spec", "sidecar"])
+def test_an_input_that_is_not_json_exits_2_naming_it_before_out_exists(
+        ws, tmp_path, capsys, culprit):
+    ckpt = tmp_path / "encoder.ckpt"
+    save_checkpoint(ckpt, load_checkpoint(ws / "pre_b" / "encoder.ckpt")[0])
+    path = {"config": tmp_path / "config.json", "spec": tmp_path / "spec.json",
+            "sidecar": Path(f"{ckpt}.json")}[culprit]
+    path.write_text("{not json")
+    argv = {"config": ["erm", "--data", ws / "ds", "--config", path, *NET],
+            "spec": ["sweep", "--spec", path],
+            "sidecar": ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"]}[culprit]
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

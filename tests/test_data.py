@@ -83,6 +83,15 @@ def test_load_names_labels_csv_for_labels_outside_their_classes(tmp_path):
         BiasedDataset.load(tmp_path / "d")
 
 
+def test_load_refuses_a_labels_csv_of_two_columns_naming_it(tmp_path):
+    _tiny_ds().save(tmp_path / "d")
+    path = tmp_path / "d" / "labels.csv"
+    path.write_text("y,b\n0,0\n0,1\n1,1\n1,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: need 3 columns (y, b, aligned), "
+                                                   "got 2")):
+        BiasedDataset.load(tmp_path / "d")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("num_classes", "2", "num_classes must be integral, got '2'"),
     ("num_classes", True, "num_classes must be integral, got True"),

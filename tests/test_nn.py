@@ -54,8 +54,7 @@ def test_init_kaiming_bounds_and_zero_biases():
 def test_init_is_seed_deterministic():
     a = DenseNet.init([5, 7, 2], np.random.default_rng(42))
     b = DenseNet.init([5, 7, 2], np.random.default_rng(42))
-    for pa, pb in zip(a.params(), b.params()):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.flat, b.flat)
 
 
 def test_init_rejects_bad_dims():
@@ -76,7 +75,7 @@ def test_weights_and_biases_are_views_into_flat():
     net.flat[0] = -1.0
     net.biases[1][0] = -2.0
     assert net.weights[0][0, 0] == -1.0 and net.flat[12] == -2.0
-    assert all(np.shares_memory(p, net.flat) for p in net.params())
+    assert all(np.shares_memory(p, net.flat) for p in [*net.weights, *net.biases])
 
 
 def test_flat_defaults_to_zeros_and_must_match_dims():
@@ -163,8 +162,7 @@ def test_backward_zero_output_grad():
     net = DenseNet.init([4, 6, 2], rng)
     _, cache = forward(net, rng.normal(size=(5, 4)))
     grads, din = backward(net, cache, np.zeros((5, 2)))
-    for g in grads.params():
-        np.testing.assert_array_equal(g, 0.0)
+    np.testing.assert_array_equal(grads.flat, 0.0)
     np.testing.assert_array_equal(din, 0.0)
 
 
@@ -202,7 +200,7 @@ def test_backward_matches_finite_differences(seed):
     grads, _ = backward(net, cache, 2.0 * (out - T))
     fd = net_central_diff(loss_of, net)
     assert grads.layer_dims == net.layer_dims
-    for g, r in zip(grads.params(), fd):
+    for g, r in zip([*grads.weights, *grads.biases], [*fd.weights, *fd.biases]):
         assert rel_err(g, r) < 1e-4
 
 
@@ -380,11 +378,10 @@ def test_apply_and_forward_keep_one_array_per_layer():
 def test_adam_zero_grad_fresh_state_is_identity():
     rng = np.random.default_rng(15)
     net = DenseNet.init([3, 2], rng)
-    before = [p.copy() for p in net.params()]
-    state = AdamState.init(net.params())
-    adam_step(net.params(), [np.zeros_like(p) for p in net.params()], state, 0.1)
-    for p, q in zip(net.params(), before):
-        np.testing.assert_array_equal(p, q)
+    before = net.flat.copy()
+    state = AdamState.init([net.flat])
+    adam_step([net.flat], [np.zeros_like(net.flat)], state, 0.1)
+    np.testing.assert_array_equal(net.flat, before)
     assert state.step == 1
 
 
@@ -638,8 +635,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     save_checkpoint(path, net, {"lr": 0.0003, "epochs": 100})
     back, sidecar = load_checkpoint(path)
     assert back.layer_dims == net.layer_dims
-    for pa, pb in zip(net.params(), back.params()):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(net.flat, back.flat)
     assert sidecar["config"]["lr"] == 0.0003
     assert sidecar["layer_dims"] == [6, 5, 4]
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rankdebias
 from rankdebias import pipeline
 from rankdebias.data import BiasedDataset, GenConfig, gen_colorpoints
 from rankdebias.nn import _STEP_BLOCK, DenseNet, apply, forward
@@ -32,7 +33,6 @@ from rankdebias.pipeline import (
     identify_error_set,
     pretrain_biased,
     pretrain_main,
-    rank_trajectory,
     run_jobs,
     stream,
 )
@@ -64,10 +64,6 @@ def tiny_ds(n=320, classes=4, r=0.9, seed=11) -> BiasedDataset:
     return gen_colorpoints(
         GenConfig(n=n, classes=classes, bias_ratio=r, seed=seed, input_dim=2 + classes)
     )
-
-
-def params_equal(a, b) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # ----------------------------------------------------------------- streams
@@ -152,8 +148,8 @@ def test_erm_train_is_deterministic():
     ds = tiny_ds()
     m1, log1 = erm_train(ds, tiny_cfg())
     m2, log2 = erm_train(ds, tiny_cfg())
-    assert params_equal(m1.encoder.params(), m2.encoder.params())
-    assert params_equal(m1.head.params(), m2.head.params())
+    assert np.array_equal(m1.encoder.flat, m2.encoder.flat)
+    assert np.array_equal(m1.head.flat, m2.head.flat)
     assert log1 == log2
 
 
@@ -207,7 +203,7 @@ def test_pretrain_main_equals_biased_at_lambda_zero():
     cfg = tiny_cfg(lambda_reg=0.0)
     enc_a, log_a = pretrain_biased(ds, cfg)
     enc_b, log_b = pretrain_main(ds, tiny_cfg(lambda_reg=0.7))
-    assert params_equal(enc_a.params(), enc_b.params())
+    assert np.array_equal(enc_a.flat, enc_b.flat)
     assert log_a == log_b
 
 
@@ -225,14 +221,14 @@ def test_pretrain_never_reads_labels():
     )
     enc_a, _ = pretrain_biased(ds, tiny_cfg(lambda_reg=0.2))
     enc_b, _ = pretrain_biased(rotated, tiny_cfg(lambda_reg=0.2))
-    assert params_equal(enc_a.params(), enc_b.params())
+    assert np.array_equal(enc_a.flat, enc_b.flat)
 
 
 def test_pretrain_is_deterministic_and_logs_rank():
     ds = tiny_ds()
     enc_a, log_a = pretrain_biased(ds, tiny_cfg(lambda_reg=0.3))
     enc_b, log_b = pretrain_biased(ds, tiny_cfg(lambda_reg=0.3))
-    assert params_equal(enc_a.params(), enc_b.params())
+    assert np.array_equal(enc_a.flat, enc_b.flat)
     assert log_a == log_b
     assert all(set(row) == {"epoch", "loss", "eff_rank", "lr"} for row in log_a)
 
@@ -343,10 +339,10 @@ def test_debiased_linear_eval_leaves_encoder_untouched():
     ds = tiny_ds()
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
-    before = [p.copy() for p in enc.params()]
+    before = enc.flat.copy()
     es = ErrorSet(np.arange(5), np.zeros(len(ds), dtype=np.int64))
     model = debiased_linear_eval(enc, ds, es, cfg)
-    assert params_equal(enc.params(), before)
+    assert np.array_equal(enc.flat, before)
     assert model.encoder is enc
 
 
@@ -359,8 +355,8 @@ def test_debiased_linear_eval_unit_weight_matches_plain():
     m_none = debiased_linear_eval(enc, ds, None, unit)
     m_empty = debiased_linear_eval(enc, ds, empty, cfg)
     m_unit = debiased_linear_eval(enc, ds, identify_error_set(enc, ds, cfg), unit)
-    assert params_equal(m_none.head.params(), m_empty.head.params())
-    assert params_equal(m_none.head.params(), m_unit.head.params())
+    assert np.array_equal(m_none.head.flat, m_empty.head.flat)
+    assert np.array_equal(m_none.head.flat, m_unit.head.flat)
 
 
 def test_debiased_linear_eval_rejects_stale_error_set():
@@ -416,8 +412,8 @@ def test_finetune_zero_epochs_returns_equal_model():
     enc, _ = pretrain_main(ds, cfg)
     model = debiased_linear_eval(enc, ds, None, cfg)
     tuned = finetune_semisup(model, ds, None, cfg)
-    assert params_equal(tuned.encoder.params(), model.encoder.params())
-    assert params_equal(tuned.head.params(), model.head.params())
+    assert np.array_equal(tuned.encoder.flat, model.encoder.flat)
+    assert np.array_equal(tuned.head.flat, model.head.flat)
     assert tuned.encoder is not model.encoder
 
 
@@ -426,13 +422,13 @@ def test_finetune_does_not_mutate_input_model():
     cfg = tiny_cfg()
     enc, _ = pretrain_main(ds, cfg)
     model = debiased_linear_eval(enc, ds, None, cfg)
-    before_enc = [p.copy() for p in model.encoder.params()]
-    before_head = [p.copy() for p in model.head.params()]
+    before_enc = model.encoder.flat.copy()
+    before_head = model.head.flat.copy()
     es = identify_error_set(enc, ds, cfg)
     tuned = finetune_semisup(model, ds, es, cfg)
-    assert params_equal(model.encoder.params(), before_enc)
-    assert params_equal(model.head.params(), before_head)
-    assert not params_equal(tuned.encoder.params(), before_enc)
+    assert np.array_equal(model.encoder.flat, before_enc)
+    assert np.array_equal(model.head.flat, before_head)
+    assert not np.array_equal(tuned.encoder.flat, before_enc)
 
 
 def test_finetune_is_deterministic():
@@ -442,8 +438,8 @@ def test_finetune_is_deterministic():
     model = debiased_linear_eval(enc, ds, None, cfg)
     t1 = finetune_semisup(model, ds, None, cfg)
     t2 = finetune_semisup(model, ds, None, cfg)
-    assert params_equal(t1.encoder.params(), t2.encoder.params())
-    assert params_equal(t1.head.params(), t2.head.params())
+    assert np.array_equal(t1.encoder.flat, t2.encoder.flat)
+    assert np.array_equal(t1.head.flat, t2.head.flat)
 
 
 def test_finetune_rejects_stale_error_set():
@@ -789,26 +785,6 @@ def test_bias_metric_is_deterministic():
     assert bias_metric(enc, ds, cfg) == bias_metric(enc, ds, cfg)
 
 
-# ---------------------------------------------------------- rank trajectory
-
-
-def test_rank_trajectory_rows_and_determinism():
-    cfg = tiny_cfg()
-
-    def make_ds(r):
-        return tiny_ds(n=320, r=r, seed=21)
-
-    def make_test():
-        return tiny_ds(n=200, r=0.25, seed=22)
-
-    rows = rank_trajectory([0.5, 0.9], make_ds, make_test, cfg)
-    assert [row["r"] for row in rows] == [0.5, 0.9]
-    assert all(set(row) == {"r", "eff_rank", "unbiased_acc"} for row in rows)
-    assert all(np.isfinite(row["eff_rank"]) for row in rows)
-    again = rank_trajectory([0.5, 0.9], make_ds, make_test, cfg)
-    assert rows == again
-
-
 # ------------------------------------------------------------------ run_jobs
 
 
@@ -963,6 +939,18 @@ def test_the_package_imports_no_multiprocessing():
     assert "pipeline.py" in {p.name for p in sources}
     assert {p.name: banned_imports(p.read_text()) for p in sources} == \
         {p.name: [] for p in sources}
+
+
+def test_the_package_exports_exactly_the_names_its_init_binds():
+    tree = ast.parse(Path(rankdebias.__file__).read_text())
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets} - {"__all__"}
+    assert sorted(rankdebias.__all__) == sorted(bound)
+    namespace = {}
+    exec("from rankdebias import *", namespace)
+    assert all(namespace[name] is getattr(rankdebias, name) for name in rankdebias.__all__)
 
 
 @pytest.mark.parametrize("source", [
