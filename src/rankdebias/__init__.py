@@ -23,7 +23,7 @@ from .data import (
     make_unbiased_testset,
     split,
 )
-from .nn import DenseNet, ScheduleConfig, cosine_lr, load_checkpoint, save_checkpoint
+from .nn import DenseNet, cosine_lr, load_checkpoint, save_checkpoint
 from .pipeline import (
     ErrorSet,
     ExperimentConfig,
@@ -64,7 +64,6 @@ __all__ = [
     "make_unbiased_testset",
     "split",
     "DenseNet",
-    "ScheduleConfig",
     "cosine_lr",
     "load_checkpoint",
     "save_checkpoint",

@@ -367,16 +367,11 @@ def cmd_debias(args) -> int:
     test = _load_dataset(args.test, ds.input_dim) if args.test else None
     biased_enc = _load_encoder(args.biased_ckpt, ds.input_dim)
     main_enc = _load_encoder(args.main_ckpt, ds.input_dim)
-    if not 0.0 < args.label_fraction <= 1.0:
-        raise ValueError(f"label fraction must be in (0, 1], got {args.label_fraction}")
+    labeled = label_fraction_split(ds, args.label_fraction,
+                                   int(stream(cfg.seed, "label-split").integers(2**31)))[0]
 
     def work(stage, manifest_hash):
         sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}
-        if args.label_fraction < 1.0:
-            seed = int(stream(cfg.seed, "label-split").integers(2**31))
-            labeled, _ = label_fraction_split(ds, args.label_fraction, seed=seed)
-        else:
-            labeled = ds
         error_set = identify_error_set(biased_enc, labeled, cfg)
         model = debiased_linear_eval(main_enc, labeled, error_set, cfg)
         if args.mode == "semisup":

@@ -142,10 +142,14 @@ class BiasedDataset:
         inputs = _read_inputs(directory / INPUTS_NAME)
         labels_path = directory / "labels.csv"
         try:
-            labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, dtype=np.int64,
-                                ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                labels = np.loadtxt(labels_path, delimiter=",", skiprows=1, dtype=np.int64,
+                                    ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{labels_path}: {exc}") from None
+        if labels.size == 0:  # a header-only file: no samples
+            labels = labels.reshape(0, 3)
         if labels.shape[1] != 3:
             raise ValueError(f"{labels_path}: need 3 columns (y, b, aligned), "
                              f"got {labels.shape[1]}")
@@ -471,15 +475,15 @@ def make_unbiased_testset(source: BiasedDataset, seed: int = 0) -> BiasedDataset
     rng = np.random.default_rng(seed)
     n = len(source)
     new_b = rng.integers(0, source.num_bias_classes, n)
-    inputs = source.inputs.copy()
     gen = source.meta.get("generator")
     if gen == "colorpoints":
         lo, hi = source.meta["simple_block"]
         noise = source.meta["bias_noise"] * rng.standard_normal((n, hi - lo))
+        inputs = source.inputs.copy()
         inputs[:, lo:hi] = _bias_block(new_b, hi - lo) + noise
     elif gen == "cmnist":
         c, h, w = source.meta["image_shape"]
-        gray = inputs.reshape(n, c, h * w).max(axis=1)
+        gray = source.inputs.reshape(n, c, h * w).max(axis=1)
         inputs = _tint(gray, new_b)
     else:
         raise ValueError(f"cannot re-render bias features for generator {gen!r}")
@@ -500,17 +504,14 @@ def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, .
     if any(f < 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
         raise ValueError(f"fractions must be >= 0 and sum to <= 1, got {fractions}")
     rng = np.random.default_rng(seed)
+    cum = np.cumsum(fractions)
     parts: list[list[np.ndarray]] = [[] for _ in fractions]
     for yv in range(ds.num_classes):
         for bv in range(ds.num_bias_classes):
-            idx = np.flatnonzero((ds.y == yv) & (ds.b == bv))
-            if idx.size == 0:
-                continue
-            idx = rng.permutation(idx)
-            cum = np.cumsum(fractions)
-            edges = np.rint(cum * idx.size).astype(int)
+            # an empty group permutes to nothing and draws nothing
+            idx = rng.permutation(np.flatnonzero((ds.y == yv) & (ds.b == bv)))
             start = 0
-            for part, edge in zip(parts, edges):
+            for part, edge in zip(parts, np.rint(cum * idx.size).astype(int)):
                 part.append(idx[start:edge])
                 start = edge
     out = []
@@ -524,11 +525,11 @@ def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, .
 
 def label_fraction_split(ds: BiasedDataset, fraction: float, seed: int = 0
                          ) -> tuple[BiasedDataset, BiasedDataset]:
-    """Stratified (labeled, unlabeled) split for semi-supervised runs."""
+    """Stratified (labeled, unlabeled) split; at fraction 1, labeled is ds itself."""
     if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        raise ValueError(f"label fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return ds.take(np.arange(len(ds))), ds.take(np.empty(0, dtype=np.int64))
+        return ds, ds.take(np.empty(0, dtype=np.int64))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         labeled, unlabeled = split(ds, (fraction, 1.0 - fraction), seed)

@@ -310,29 +310,17 @@ def sgd_momentum_step(params, grads, state: MomentumState, lr: float,
             p -= np.multiply(lr, vel, out=a)
 
 
-@dataclass
-class ScheduleConfig:
-    base_lr: float
-    warmup_steps: int
-    total_steps: int
-
-    def __post_init__(self):
-        if self.base_lr < 0:
-            raise ValueError("base_lr must be >= 0")
-        if self.warmup_steps < 0 or self.total_steps <= self.warmup_steps:
-            raise ValueError(
-                f"need 0 <= warmup_steps < total_steps, got {self.warmup_steps}, {self.total_steps}"
-            )
-
-
-def cosine_lr(cfg: ScheduleConfig, step: int) -> float:
+def cosine_lr(step: int, base_lr: float, warmup_steps: int, total_steps: int) -> float:
     """Linear warmup to base_lr, then cosine decay to zero at total_steps."""
-    if step < 0 or step > cfg.total_steps:
-        raise ValueError(f"step {step} outside [0, {cfg.total_steps}]")
-    if step < cfg.warmup_steps:
-        return cfg.base_lr * step / cfg.warmup_steps
-    progress = (step - cfg.warmup_steps) / (cfg.total_steps - cfg.warmup_steps)
-    return cfg.base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
+    if base_lr < 0 or warmup_steps < 0 or total_steps <= warmup_steps:
+        raise ValueError(f"need base_lr >= 0 and 0 <= warmup_steps < total_steps, got "
+                         f"{base_lr}, {warmup_steps}, {total_steps}")
+    if step < 0 or step > total_steps:
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    if step < warmup_steps:
+        return base_lr * step / warmup_steps
+    progress = (step - warmup_steps) / (total_steps - warmup_steps)
+    return base_lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
 
 def save_checkpoint(path, net: DenseNet, config: dict | None = None) -> None:

@@ -37,7 +37,6 @@ from .nn import (
     AdamState,
     DenseNet,
     MomentumState,
-    ScheduleConfig,
     adam_step,
     apply,
     backward,
@@ -112,12 +111,9 @@ class Model:
     encoder: DenseNet
     head: DenseNet
 
-    def logits(self, X) -> np.ndarray:
-        return apply(self.head, apply(self.encoder, X))
-
     def predict(self, X) -> np.ndarray:
         # np.argmax keeps the smallest index on ties
-        return np.argmax(self.logits(X), axis=1)
+        return np.argmax(apply(self.head, apply(self.encoder, X)), axis=1)
 
 
 @dataclass
@@ -218,9 +214,9 @@ class _Optimizer:
 
 def _cosine_adam(cfg: ExperimentConfig, steps_per_epoch: int) -> _Optimizer:
     """Adam with weight decay under warmup-then-cosine decay over cfg.epochs."""
-    schedule = ScheduleConfig(cfg.base_lr, cfg.warmup_epochs * steps_per_epoch,
-                              cfg.epochs * steps_per_epoch)
-    return _Optimizer(lambda step: cosine_lr(schedule, step), cfg.weight_decay)
+    warmup, total = cfg.warmup_epochs * steps_per_epoch, cfg.epochs * steps_per_epoch
+    return _Optimizer(lambda step: cosine_lr(step, cfg.base_lr, warmup, total),
+                      cfg.weight_decay)
 
 
 def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
@@ -378,18 +374,16 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
                          stream(cfg.seed, "pretrain-proj-init"))
     aug_rng = stream(cfg.seed, "pretrain-augment")
 
-    feature_std = ds.inputs.std(axis=0) if cfg.modality == "vector" else None
-    shape = image_shape(ds) if cfg.modality == "cmnist-image" else None
+    if cfg.modality == "vector":
+        augment, layout = augment_vector_batch, ds.inputs.std(axis=0)
+    else:
+        augment, layout = augment_image_batch, image_shape(ds)
     opt = _cosine_adam(cfg, steps_per_epoch)
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
     def views(idx):
         X = ds.inputs[idx]
-        if cfg.modality == "vector":
-            pair = [augment_vector_batch(X, aug_rng, feature_std) for _ in range(2)]
-        else:
-            pair = [augment_image_batch(X, aug_rng, shape) for _ in range(2)]
-        return np.concatenate(pair, axis=0)
+        return np.concatenate([augment(X, aug_rng, layout) for _ in range(2)], axis=0)
 
     def objective(idx, outs):
         loss, grad_views, grad_proj = stage1_loss(*outs, cfg.tau, cfg.lambda_reg)
@@ -492,19 +486,12 @@ def evaluate(model: Model, test: BiasedDataset, error_set: ErrorSet | None = Non
     def acc(mask) -> float:
         return 100.0 * float(correct[mask].mean()) if mask.any() else float("nan")
 
-    table = []
-    for yv in range(test.num_classes):
-        for bv in range(test.num_bias_classes):
-            mask = (test.y == yv) & (test.b == bv)
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue  # absent groups are omitted, not reported as zero
-            table.append({
-                "y": yv,
-                "b": bv,
-                "n": cnt,
-                "acc": 100.0 * float(correct[mask].mean()),
-            })
+    B = test.num_bias_classes
+    group = test.y * B + test.b
+    counts, hits = np.bincount(group), np.bincount(group, weights=correct)
+    # absent groups are omitted, not reported as zero
+    table = [{"y": int(k // B), "b": int(k % B), "n": int(counts[k]),
+              "acc": 100.0 * float(hits[k] / counts[k])} for k in np.flatnonzero(counts)]
     # without an error set, precision and recall keep their NaN defaults
     quality = {} if error_set is None else dict(zip(("precision", "recall"), error_set_quality(
         error_set, test if labeled is None else labeled)))

@@ -578,6 +578,19 @@ def test_debias_dimension_mismatch_exits_2(ws, tmp_path, capsys):
     assert "width 6" in err and "width 9" in err
 
 
+@pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])
+def test_debias_label_fraction_outside_0_1_exits_2_before_out_exists(
+        ws, tmp_path, capsys, fraction):
+    rc = run(["debias", "--data", ws / "ds", "--biased-ckpt", ws / "pre_b" / "encoder.ckpt",
+              "--main-ckpt", ws / "pre_m" / "encoder.ckpt", "--label-fraction", fraction,
+              "--out", tmp_path / "o", *NET])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "label fraction must be in (0, 1]" in err
+    assert f"got {float(fraction)}" in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- spectrum
 
 

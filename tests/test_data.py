@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,19 @@ def test_save_load_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.aligned, ds.aligned)
     assert back.bias_ratio == ds.bias_ratio
     assert back.meta["generator"] == "colorpoints"
+
+
+def test_zero_row_dataset_round_trips_without_a_warning(tmp_path):
+    ds = gen_colorpoints(GenConfig(n=50, classes=3))
+    empty = ds.take(np.empty(0, dtype=np.int64))  # the unlabeled part at fraction 1
+    empty.save(tmp_path / "d")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = BiasedDataset.load(tmp_path / "d")
+    assert len(back) == 0 and back.input_dim == ds.input_dim
+    assert (back.y.size, back.b.size, back.aligned.size) == (0, 0, 0)
+    assert (back.bias_ratio, back.num_classes, back.num_bias_classes) == (0.0, 3, 3)
+    assert back.meta == json.loads(json.dumps({**ds.meta, "n": 0, "input_dim": ds.input_dim}))
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -556,8 +570,16 @@ def test_split_rejects_overfull_fractions():
 def test_label_fraction_one_leaves_unlabeled_empty():
     ds = gen_colorpoints(GenConfig(n=100, classes=2, bias_ratio=0.9, input_dim=6))
     labeled, unlabeled = label_fraction_split(ds, 1.0)
+    assert labeled is ds  # no copy of the rows
     assert len(labeled) == 100
     assert len(unlabeled) == 0
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+def test_label_fraction_outside_0_1_raises_naming_it(fraction):
+    match = rf"label fraction must be in \(0, 1\], got {fraction}"
+    with pytest.raises(ValueError, match=match):
+        label_fraction_split(_tiny_ds(), fraction)
 
 
 def test_label_fraction_split_sizes_and_warning():

@@ -20,7 +20,6 @@ from rankdebias.nn import (
     DenseNet,
     ForwardCache,
     MomentumState,
-    ScheduleConfig,
     _STEP_BLOCK,
     _layer_outputs,
     adam_step,
@@ -583,46 +582,41 @@ def test_plain_descent_on_l2_shrinks_norm_monotonically():
 
 
 def test_cosine_lr_endpoints():
-    cfg = ScheduleConfig(base_lr=0.3, warmup_steps=10, total_steps=100)
-    assert cosine_lr(cfg, 0) == 0.0
-    assert cosine_lr(cfg, 10) == 0.3
-    assert cosine_lr(cfg, 100) == 0.0
+    assert cosine_lr(0, 0.3, 10, 100) == 0.0
+    assert cosine_lr(10, 0.3, 10, 100) == 0.3
+    assert cosine_lr(100, 0.3, 10, 100) == 0.0
 
 
 def test_cosine_lr_linear_warmup():
-    cfg = ScheduleConfig(base_lr=0.2, warmup_steps=20, total_steps=50)
-    assert abs(cosine_lr(cfg, 10) - 0.1) < 1e-15
-    assert abs(cosine_lr(cfg, 5) - 0.05) < 1e-15
+    assert abs(cosine_lr(10, 0.2, 20, 50) - 0.1) < 1e-15
+    assert abs(cosine_lr(5, 0.2, 20, 50) - 0.05) < 1e-15
 
 
 def test_cosine_lr_shape():
-    cfg = ScheduleConfig(base_lr=1.0, warmup_steps=5, total_steps=55)
-    ramp = [cosine_lr(cfg, t) for t in range(6)]
+    ramp = [cosine_lr(t, 1.0, 5, 55) for t in range(6)]
     assert all(b > a for a, b in zip(ramp, ramp[1:]))
-    decay = [cosine_lr(cfg, t) for t in range(5, 56)]
+    decay = [cosine_lr(t, 1.0, 5, 55) for t in range(5, 56)]
     assert all(b <= a for a, b in zip(decay, decay[1:]))
-    mid = cosine_lr(cfg, 30)  # halfway through decay
+    mid = cosine_lr(30, 1.0, 5, 55)  # halfway through decay
     assert abs(mid - 0.5) < 1e-12
 
 
 def test_cosine_lr_zero_warmup():
-    cfg = ScheduleConfig(base_lr=0.4, warmup_steps=0, total_steps=10)
-    assert cosine_lr(cfg, 0) == 0.4
+    assert cosine_lr(0, 0.4, 0, 10) == 0.4
 
 
 def test_cosine_lr_rejects_out_of_range():
-    cfg = ScheduleConfig(base_lr=0.1, warmup_steps=2, total_steps=10)
     with pytest.raises(ValueError):
-        cosine_lr(cfg, -1)
+        cosine_lr(-1, 0.1, 2, 10)
     with pytest.raises(ValueError):
-        cosine_lr(cfg, 11)
+        cosine_lr(11, 0.1, 2, 10)
 
 
 def test_schedule_config_validation():
     with pytest.raises(ValueError):
-        ScheduleConfig(base_lr=-0.1, warmup_steps=0, total_steps=10)
+        cosine_lr(0, -0.1, 0, 10)
     with pytest.raises(ValueError):
-        ScheduleConfig(base_lr=0.1, warmup_steps=10, total_steps=10)
+        cosine_lr(0, 0.1, 10, 10)
 
 
 # -------------------------------------------------------------- checkpoints

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankdebias
 from rankdebias import pipeline
@@ -270,6 +272,21 @@ def test_cosine_schedules_end_on_their_last_step():
     _, pretrain_log = pretrain_biased(ds, cfg)
     assert erm_log[-1]["lr"] == 0.0
     assert pretrain_log[-1]["lr"] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.data(), st.floats(0.0, 10.0), st.integers(1, 25))
+def test_cosine_adam_lr_is_finite_and_within_0_base_lr_on_every_step(
+        epochs, data, base_lr, steps_per_epoch):
+    # the config's own checks are the schedule's only bounds
+    warmup = data.draw(st.integers(0, epochs - 1))
+    cfg = tiny_cfg(epochs=epochs, warmup_epochs=warmup, base_lr=base_lr)
+    opt = pipeline._cosine_adam(cfg, steps_per_epoch)
+    total = epochs * steps_per_epoch
+    lrs = np.array([opt.lr(step) for step in range(total + 1)])
+    assert np.isfinite(lrs).all()
+    assert ((lrs >= 0.0) & (lrs <= base_lr)).all()
+    assert lrs[-1] == 0.0
 
 
 def test_trainers_refuse_a_set_too_small_for_one_batch_with_one_error():
@@ -693,6 +710,13 @@ def test_evaluate_unbiased_acc_is_group_weighted_mean():
     assert total == len(ds)
     weighted = sum(g["n"] * g["acc"] for g in rep.group_table) / total
     assert abs(weighted - rep.unbiased_acc) < 1e-9
+    # the table equals, bit for bit, one masked mean per present (y, b) cell
+    correct = model.predict(ds.inputs) == ds.y
+    cells = [(yv, bv, (ds.y == yv) & (ds.b == bv))
+             for yv in range(ds.num_classes) for bv in range(ds.num_bias_classes)]
+    assert rep.group_table == [
+        {"y": yv, "b": bv, "n": int(mask.sum()), "acc": 100.0 * float(correct[mask].mean())}
+        for yv, bv, mask in cells if mask.any()]
 
 
 def test_evaluate_omits_empty_groups():

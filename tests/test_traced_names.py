@@ -2,9 +2,9 @@
 
 perfbench/tracing.py names each traced function as (module, qualified
 name) and looks it up with getattr when a traced run starts, so a deleted
-or renamed name breaks every traced run. The perfbench suite is not part
-of this one; this test loads tracing.py by path and resolves each name
-the way `instrument` does, a method through its class __dict__."""
+or renamed name breaks every traced run. This check starts no traced
+run: it loads tracing.py by path and resolves each name the way
+`instrument` does, a method through its class __dict__."""
 
 import importlib
 import importlib.util
