@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    INPUTS_NAME,
     BiasedDataset,
     GenConfig,
     check_bias_ratio,
@@ -152,13 +153,23 @@ def _write_train_log(path: Path, log: list[dict], columns: list[str]) -> None:
     _write_csv(path, columns, [[row[c] for c in columns] for row in log])
 
 
+def _require_finite(values: np.ndarray, path: Path) -> None:
+    """Raise ValueError naming path when values holds a NaN or an infinity.
+    The min and the max are non-finite exactly then, and need no
+    temporary of values' size; an empty array has neither, and passes."""
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise ValueError(f"{path}: holds non-finite values (NaN or inf)")
+
+
 def _load_dataset(path: str, width: int | None = None) -> BiasedDataset:
-    """The dataset at path. Given width, the training dataset's, rows of
-    another width raise ValueError naming path."""
+    """The dataset at path. Non-finite inputs, or, given width, the
+    training dataset's, rows of another width raise ValueError naming the
+    file."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"no dataset directory at {directory}")
     ds = BiasedDataset.load(directory)
+    _require_finite(ds.inputs, directory / INPUTS_NAME)
     if width not in (None, ds.input_dim):
         raise ValueError(f"{directory}: rows have width {ds.input_dim}, "
                          f"the training rows have width {width}")
@@ -166,12 +177,14 @@ def _load_dataset(path: str, width: int | None = None) -> BiasedDataset:
 
 
 def _load_encoder(path: str, width: int) -> DenseNet:
-    """The encoder checkpointed at path; one reading inputs of another width
-    than the training dataset's raises ValueError naming path."""
+    """The encoder checkpointed at path; non-finite weights, or an encoder
+    reading inputs of another width than the training dataset's, raise
+    ValueError naming path."""
     ckpt = Path(path)
     if not ckpt.is_file():
         raise FileNotFoundError(f"no checkpoint file at {ckpt}")
     encoder, _ = load_checkpoint(ckpt)
+    _require_finite(encoder.flat, ckpt)
     if encoder.in_dim != width:
         raise ValueError(f"{ckpt}: encoder reads rows of width {encoder.in_dim}, "
                          f"the training rows have width {width}")
@@ -368,7 +381,7 @@ def cmd_debias(args) -> int:
     biased_enc = _load_encoder(args.biased_ckpt, ds.input_dim)
     main_enc = _load_encoder(args.main_ckpt, ds.input_dim)
     labeled = label_fraction_split(ds, args.label_fraction,
-                                   int(stream(cfg.seed, "label-split").integers(2**31)))[0]
+                                   int(stream(cfg.seed, "label-split").integers(2**31)))
 
     def work(stage, manifest_hash):
         sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}

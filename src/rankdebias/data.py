@@ -137,7 +137,8 @@ class BiasedDataset:
         its path, as does a meta.json without a finite real bias_ratio and
         positive integer num_classes and num_bias_classes; a labels.csv
         that is not rows of three integers, or whose labels the dataset
-        refuses, raises it naming labels.csv."""
+        refuses, or whose aligned column holds a value other than 0 or 1,
+        raises it naming labels.csv."""
         directory = Path(directory)
         inputs = _read_inputs(directory / INPUTS_NAME)
         labels_path = directory / "labels.csv"
@@ -153,6 +154,10 @@ class BiasedDataset:
         if labels.shape[1] != 3:
             raise ValueError(f"{labels_path}: need 3 columns (y, b, aligned), "
                              f"got {labels.shape[1]}")
+        flags = np.flatnonzero((labels[:, 2] != 0) & (labels[:, 2] != 1))
+        if flags.size:
+            raise ValueError(f"{labels_path}: aligned must be 0 or 1, got "
+                             f"{labels[flags[0], 2]} at sample {flags[0]}")
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError(f"{directory / INPUTS_NAME}: {inputs.shape[0]} rows, "
                              f"but labels.csv has {labels.shape[0]}")
@@ -523,23 +528,24 @@ def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, .
     return tuple(out)
 
 
-def label_fraction_split(ds: BiasedDataset, fraction: float, seed: int = 0
-                         ) -> tuple[BiasedDataset, BiasedDataset]:
-    """Stratified (labeled, unlabeled) split; at fraction 1, labeled is ds itself."""
+def label_fraction_split(ds: BiasedDataset, fraction: float, seed: int = 0) -> BiasedDataset:
+    """The labeled part of a stratified split: split(ds, (fraction,), seed),
+    the first part of split(ds, (fraction, 1 - fraction), seed), with no
+    copy of the unlabeled rest; at fraction 1, ds itself."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"label fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return ds, ds.take(np.empty(0, dtype=np.int64))
+        return ds
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        labeled, unlabeled = split(ds, (fraction, 1.0 - fraction), seed)
+        (labeled,) = split(ds, (fraction,), seed)
     empty_after = int(((labeled.group_counts() == 0) & (ds.group_counts() > 0)).sum())
     if empty_after:
         warnings.warn(
             f"{empty_after} nonempty (y, b) groups lost all samples in the labeled split",
             stacklevel=2,
         )
-    return labeled, unlabeled
+    return labeled
 
 
 @dataclass

@@ -43,7 +43,9 @@ def cross_entropy(logits, labels, weights=None) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy; gradient is (softmax - onehot) / n.
     weights (shape (n,)) scale each sample's loss term and gradient row
     before the division by n; weights of 1 reproduce the unweighted loss
-    bit for bit."""
+    bit for bit. The inputs are checked on every call; training loops
+    check theirs once per fit and call cross_entropy_core, the unchecked
+    arithmetic, which this also runs."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if logits.ndim != 2:
@@ -51,24 +53,39 @@ def cross_entropy(logits, labels, weights=None) -> tuple[float, np.ndarray]:
     n, C = logits.shape
     if labels.shape[0] != n:
         raise ValueError(f"{labels.shape[0]} labels for {n} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= C):
-        raise ValueError(f"labels must lie in [0, {C}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
+    check_labels(labels, C)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    return cross_entropy_core(logits, np.arange(n) * C + labels, weights)
+
+
+def check_labels(labels: np.ndarray, classes: int) -> None:
+    """Raise ValueError unless every entry of labels lies in [0, classes)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"labels must lie in [0, {classes}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+
+
+def cross_entropy_core(logits: np.ndarray, picks: np.ndarray, weights=None
+                       ) -> tuple[float, np.ndarray]:
+    """cross_entropy's arithmetic with no checks: logits is a float64
+    (n, C) array, picks holds the flat position k * C + label of each
+    row's label entry, and weights is None or a float64 array of shape
+    (n,). The ufunc reductions are the ones the ndarray methods run."""
+    n = logits.shape[0]
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     expl = np.exp(shifted)
-    Zsum = expl.sum(axis=1)
+    Zsum = np.add.reduce(expl, 1)
     grad = expl / Zsum[:, None]
-    ell = np.log(Zsum) - shifted[np.arange(n), labels]
-    grad[np.arange(n), labels] -= 1.0
+    ell = np.log(Zsum) - shifted.take(picks)
+    grad.reshape(-1)[picks] -= 1.0
     if weights is not None:
         ell *= weights
         grad *= weights[:, None]
     grad /= n
-    return float(np.sum(ell) / n), grad
+    return float(np.add.reduce(ell) / n), grad
 
 
 def debias_loss(logits, labels, spec: UpweightSpec) -> tuple[float, np.ndarray]:

@@ -203,7 +203,8 @@ def backward(net: DenseNet, cache: ForwardCache, output_grad,
             # delta is a fresh delta @ W.T here, so it can be masked in place
             delta *= cache.inputs[i + 1] > 0.0
         np.matmul(cache.inputs[i].T, delta, out=out.weights[i])
-        np.sum(delta, axis=0, out=out.biases[i])
+        # the reduction np.sum runs, without its Python wrapper
+        np.add.reduce(delta, 0, out=out.biases[i])
         if i == 0 and not input_grad:
             return out, None
         delta = delta @ net.weights[i].T

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import pickle
 import subprocess
@@ -32,7 +33,8 @@ import numpy as np
 
 from .data import (BiasedDataset, augment_image_batch, augment_vector_batch, check_fields,
                    image_shape, split)
-from .losses import UpweightSpec, cross_entropy, rank_penalty, stage1_loss
+from .losses import (UpweightSpec, check_labels, cross_entropy, cross_entropy_core,
+                     rank_penalty, stage1_loss)
 from .nn import (
     AdamState,
     DenseNet,
@@ -232,6 +234,11 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     builds a log row. A non-finite loss raises TrainingDiverged carrying
     the rows so far.
 
+    What can be checked once is checked before the fit, by the stage and
+    its objective; a step checks only what changes with it: forward,
+    backward and the optimizer step check their arrays' shapes, and the
+    loss is tested with math.isfinite.
+
     Between steps the fit holds the parameters, the optimizer's moments
     and its one block of scratch (see nn.AdamState), one gradient buffer
     per net and whatever rows reads from. A step adds its batch,
@@ -255,7 +262,7 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
             outs.append(h)
             caches.append(cache)
         loss, terms, grad, extra = objective(idx, outs)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingDiverged(
                 f"{stage} diverged: loss {loss} at epoch {epoch}, step {step}", log
             )
@@ -285,21 +292,34 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
     return log
 
 
-def _upweighted(labels: np.ndarray, error_set: ErrorSet | None, lambda_up: float):
-    """_fit objective: cross-entropy with the error set's samples upweighted.
-    The labels and the set are checked and the per-sample weights built
-    once, before the first step."""
+def _upweighted(labels: np.ndarray, classes: int, error_set: ErrorSet | None,
+                lambda_up: float):
+    """_fit objective: cross-entropy over classes logits with the error
+    set's samples upweighted. Every label, the set and lambda_up are
+    checked and the per-sample weights built once, before the first step;
+    a step then gathers its labels and weights and runs the unchecked
+    cross_entropy_core, which picks each row's label entry at the flat
+    position row * classes + label, the row offsets built once per batch
+    size."""
+    labels = np.asarray(labels, dtype=np.int64).ravel()
     n = labels.shape[0]
     if n == 0:
         raise ValueError("labeled set is empty")
+    check_labels(labels, classes)
     if error_set is not None and error_set.predictions.shape[0] != n:
         raise ValueError(f"error set built for {error_set.predictions.shape[0]} samples, "
                          f"labeled set has {n}")
     spec = UpweightSpec(np.empty(0) if error_set is None else error_set.indices, lambda_up)
     weights = spec.weights(n)
+    offsets: dict[int, np.ndarray] = {}
 
     def objective(idx, outs):
-        loss, dlogits = cross_entropy(outs[-1], labels[idx], weights[idx])
+        B = idx.shape[0]
+        rows = offsets.get(B)
+        if rows is None:
+            rows = offsets[B] = np.arange(B) * classes
+        loss, dlogits = cross_entropy_core(outs[-1], rows + labels.take(idx),
+                                           weights.take(idx))
         return loss, {}, dlogits, None
 
     return objective
@@ -425,7 +445,8 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
     head = DenseNet.init([reps.shape[1], classes], stream(cfg.seed, rng_name + "-init"))
     rng = stream(cfg.seed, rng_name + "-batches")
     draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(cfg.head_iters))
-    _fit([head], reps.__getitem__, [draws], _upweighted(labels, error_set, cfg.lambda_up),
+    _fit([head], lambda idx: reps.take(idx, axis=0), [draws],
+         _upweighted(labels, classes, error_set, cfg.lambda_up),
          _Optimizer(lambda step: cfg.head_lr), "head training")
     return head
 
@@ -457,7 +478,7 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
     """Update the whole model (encoder and head) on the labeled set with the
     upweighted loss, using heavy-ball SGD and strong weight decay. The
     input model is left untouched; a finetuned copy is returned."""
-    objective = _upweighted(ds.y, error_set, cfg.lambda_up)
+    objective = _upweighted(ds.y, model.head.out_dim, error_set, cfg.lambda_up)
     _, epochs = _epochs(len(ds), cfg.batch_size, cfg.finetune_epochs,
                         stream(cfg.seed, "finetune-batches"), 2)
     tuned = Model(model.encoder.copy(), model.head.copy())

@@ -397,7 +397,7 @@ def _semisup_run(seed: int) -> tuple[float, float]:
     cfg = replace(_contrastive_cfg(seed),
                   finetune_epochs=SEMI_FINETUNE_EPOCHS)
     ds, test = _arc_data(SEMI_R, seed)
-    labeled, _ = label_fraction_split(ds, 0.10, seed=777 + seed)
+    labeled = label_fraction_split(ds, 0.10, seed=777 + seed)
     enc_main, _ = pretrain_main(ds, cfg)
     enc_biased, _ = pretrain_biased(ds, replace(cfg, lambda_reg=SEMI_LAMBDA_B))
     errors = identify_error_set(enc_biased, labeled, cfg)

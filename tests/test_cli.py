@@ -231,7 +231,7 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
 
 
 @pytest.mark.parametrize("command", ["erm", "debias"])
-@pytest.mark.parametrize("row", ["7,7,1", "-1,-1,1", "0,4,0", "0,x,1"])
+@pytest.mark.parametrize("row", ["7,7,1", "-1,-1,1", "0,4,0", "0,x,1", "0,0,2", "1,0,-1"])
 def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists(
         ws, tmp_path, capsys, command, row):
     data = tmp_path / "ds"
@@ -247,6 +247,47 @@ def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists
     assert run([*argv, "--out", tmp_path / "o", *NET]) == 2
     assert f"{labels}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("command,culprit", [
+    ("erm", "data"), ("erm", "test"), ("pretrain", "data"), ("debias", "data"),
+    ("debias", "biased-ckpt"), ("debias", "main-ckpt"), ("spectrum", "data"),
+    ("spectrum", "ckpt"),
+])
+def test_non_finite_inputs_or_weights_exit_2_naming_the_file_before_out_exists(
+        ws, tmp_path, capsys, monkeypatch, command, culprit, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for name in ("erm_train", "identify_error_set", "pretrain_biased", "pretrain_main",
+                 "apply"):
+        monkeypatch.setattr(cli, name, refuse)
+    ds, ckpt = ws / "ds", ws / "pre_b" / "encoder.ckpt"
+    if culprit in ("data", "test"):
+        bad = BiasedDataset.load(ds)
+        bad.inputs[3, 2] = value
+        bad.save(tmp_path / "bad")
+        path = tmp_path / "bad" / "inputs.npy"
+    else:
+        net, _ = load_checkpoint(ckpt)
+        net.flat[-1] = value
+        save_checkpoint(tmp_path / "bad.ckpt", net)
+        path = tmp_path / "bad.ckpt"
+    paths = {"data": ds, "test": ds, "biased-ckpt": ckpt, "main-ckpt": ckpt, "ckpt": ckpt,
+             culprit: path.parent if culprit in ("data", "test") else path}
+    argv = {"erm": ["erm", "--data", paths["data"], "--test", paths["test"]],
+            "pretrain": ["pretrain", "--data", paths["data"], "--role", "main"],
+            "debias": ["debias", "--data", paths["data"], "--biased-ckpt",
+                       paths["biased-ckpt"], "--main-ckpt", paths["main-ckpt"]],
+            "spectrum": ["spectrum", "--data", paths["data"], "--ckpt", paths["ckpt"]]}[command]
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    assert f"error: {path}: holds non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_finite_check_passes_an_empty_array():
+    cli._require_finite(np.empty((0, 4)), Path("inputs.npy"))  # min() would raise
 
 
 @pytest.mark.parametrize("edit", ["num_classes as a string", "no bias_ratio", "not JSON"])
@@ -543,8 +584,7 @@ def test_debias_semisup_writes_finetuned_encoder(ws, tmp_path):
     from rankdebias.data import label_fraction_split
     from rankdebias.pipeline import stream
     split_seed = int(stream(5, "label-split").integers(2**31))
-    labeled, _ = label_fraction_split(BiasedDataset.load(ws / "ds"), 0.5,
-                                      seed=split_seed)
+    labeled = label_fraction_split(BiasedDataset.load(ws / "ds"), 0.5, seed=split_seed)
     assert metrics["labeled_n"] == len(labeled)
     assert metrics["label_fraction"] == 0.5
 

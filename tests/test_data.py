@@ -567,12 +567,9 @@ def test_split_rejects_overfull_fractions():
         split(ds, (0.7, 0.7))
 
 
-def test_label_fraction_one_leaves_unlabeled_empty():
+def test_label_fraction_one_returns_the_dataset_itself():
     ds = gen_colorpoints(GenConfig(n=100, classes=2, bias_ratio=0.9, input_dim=6))
-    labeled, unlabeled = label_fraction_split(ds, 1.0)
-    assert labeled is ds  # no copy of the rows
-    assert len(labeled) == 100
-    assert len(unlabeled) == 0
+    assert label_fraction_split(ds, 1.0) is ds  # no copy of the rows
 
 
 @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
@@ -585,8 +582,13 @@ def test_label_fraction_outside_0_1_raises_naming_it(fraction):
 def test_label_fraction_split_sizes_and_warning():
     ds = gen_colorpoints(GenConfig(n=2000, classes=10, bias_ratio=0.99, seed=22))
     with pytest.warns(UserWarning, match="lost all samples"):
-        labeled, unlabeled = label_fraction_split(ds, 0.1, seed=23)
-    assert len(labeled) + len(unlabeled) == 2000
+        labeled = label_fraction_split(ds, 0.1, seed=23)
+    first, rest = split(ds, (0.1, 0.9), seed=23)
+    assert labeled.inputs.tobytes() == first.inputs.tobytes()
+    for name in ("y", "b", "aligned"):
+        assert np.array_equal(getattr(labeled, name), getattr(first, name)), name
+    assert labeled.bias_ratio == first.bias_ratio
+    assert len(labeled) + len(rest) == 2000
     assert abs(len(labeled) - 200) <= 20
 
 

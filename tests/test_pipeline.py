@@ -235,6 +235,14 @@ def test_pretrain_is_deterministic_and_logs_rank():
     assert all(set(row) == {"epoch", "loss", "eff_rank", "lr"} for row in log_a)
 
 
+def test_pretraining_reads_tau():
+    # no other test runs a non-default tau, so a hard-coded default would pass them
+    ds = tiny_ds()
+    enc_a, _ = pretrain_biased(ds, tiny_cfg(lambda_reg=0.3))
+    enc_b, _ = pretrain_biased(ds, tiny_cfg(lambda_reg=0.3, tau=0.2))
+    assert enc_a.flat.tobytes() != enc_b.flat.tobytes()
+
+
 def test_pretrain_rejects_dataset_smaller_than_batch():
     with pytest.raises(ValueError, match="dataset of 20 samples is too small to train on: "
                                          "a batch needs at least 32"):
@@ -374,6 +382,27 @@ def test_debiased_linear_eval_unit_weight_matches_plain():
     m_unit = debiased_linear_eval(enc, ds, identify_error_set(enc, ds, cfg), unit)
     assert np.array_equal(m_none.head.flat, m_empty.head.flat)
     assert np.array_equal(m_none.head.flat, m_unit.head.flat)
+
+
+def test_head_fits_read_head_lr():
+    # no other test runs a non-default head_lr, so a hard-coded default would pass them
+    ds = tiny_ds()
+    enc = DenseNet.init([ds.input_dim, 8], np.random.default_rng(0))
+    model_a = debiased_linear_eval(enc, ds, None, tiny_cfg())
+    model_b = debiased_linear_eval(enc, ds, None, tiny_cfg(head_lr=3e-2))
+    assert model_a.head.flat.tobytes() != model_b.head.flat.tobytes()
+
+
+def test_head_fits_check_every_label_before_the_first_step(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(pipeline, "_fit", refuse)
+    reps = np.random.default_rng(3).normal(size=(50, 4))
+    labels = np.zeros(50, dtype=np.int64)
+    labels[-1] = 3  # one label, which a short fit's draws may never reach
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got range \[0, 3\]"):
+        pipeline._train_head(reps, labels, 3, tiny_cfg(head_iters=1), "h")
 
 
 def test_debiased_linear_eval_rejects_stale_error_set():
