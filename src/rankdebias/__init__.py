@@ -30,7 +30,6 @@ from .pipeline import (
     MetricsReport,
     Model,
     TrainingDiverged,
-    bias_metric,
     debiased_linear_eval,
     erm_train,
     error_set_quality,
@@ -72,7 +71,6 @@ __all__ = [
     "MetricsReport",
     "Model",
     "TrainingDiverged",
-    "bias_metric",
     "debiased_linear_eval",
     "erm_train",
     "error_set_quality",

@@ -42,6 +42,7 @@ import numpy as np
 
 from .data import (
     INPUTS_NAME,
+    MAX_CLASSES,
     BiasedDataset,
     GenConfig,
     check_bias_ratio,
@@ -456,7 +457,7 @@ class SweepSpec:
         if self.family not in ("erm", "pipeline"):
             raise ValueError(f"unknown sweep family {self.family!r}")
         # the bounds GenConfig applies in every job, checked before any runs
-        check_fields(self, {"n": 1, "classes": 2, "test_n": 1})
+        check_fields(self, {"n": 1, "classes": 2, "test_n": 1}, {"classes": MAX_CLASSES})
         for name in SWEEP_GRIDS:
             grid = getattr(self, name)
             if not grid:

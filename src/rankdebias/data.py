@@ -27,6 +27,10 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 # the file of a saved dataset that holds its inputs
 INPUTS_NAME = "inputs.npy"
+# the most classes a target or bias label may have, wherever a count enters
+# (meta.json, GenConfig, a sweep spec): it bounds a head's logits, the
+# num_classes x num_bias_classes group tables and split's per-group loop
+MAX_CLASSES = 1024
 
 # Tint palette for color-MNIST. Every color has a channel equal to 1 so the
 # grayscale digit can be recovered exactly as the per-pixel channel maximum,
@@ -135,7 +139,7 @@ class BiasedDataset:
         """Read a directory written by save. A malformed inputs.npy, or one
         whose row count differs from labels.csv, raises ValueError naming
         its path, as does a meta.json without a finite real bias_ratio and
-        positive integer num_classes and num_bias_classes; a labels.csv
+        num_classes and num_bias_classes in [1, MAX_CLASSES]; a labels.csv
         that is not rows of three integers, or whose labels the dataset
         refuses, or whose aligned column holds a value other than 0 or 1,
         raises it naming labels.csv."""
@@ -183,14 +187,16 @@ class BiasedDataset:
 @dataclass
 class _MetaFields:
     """The fields of meta.json that load passes to the dataset, checked as
-    config fields are: a finite real and two positive integers."""
+    config fields are: a finite real and two positive integers of at most
+    MAX_CLASSES."""
 
     bias_ratio: float
     num_classes: int
     num_bias_classes: int
 
     def __post_init__(self):
-        check_fields(self, {"num_classes": 1, "num_bias_classes": 1})
+        check_fields(self, {"num_classes": 1, "num_bias_classes": 1},
+                     {"num_classes": MAX_CLASSES, "num_bias_classes": MAX_CLASSES})
 
 
 def _read_inputs(path: Path) -> np.ndarray:
@@ -223,13 +229,14 @@ def _read_inputs(path: Path) -> np.ndarray:
     return inputs
 
 
-def check_fields(cfg, lowest: dict) -> None:
+def check_fields(cfg, lowest: dict, highest: dict | None = None) -> None:
     """Check every field of the config dataclass cfg against its annotation,
     naming the field: int, float, tuple[int, ...] and tuple[float, ...]
     fields must hold numbers of that kind (never a bool or a string),
     floats must be finite, integers other than seeds must fit in int64, and
-    a field named in lowest must be at least that value (each item of a
-    tuple). str and dict fields are skipped."""
+    a field named in lowest (highest) must be at least (at most) that value
+    (each item of a tuple). str and dict fields are skipped."""
+    highest = highest or {}
     for f in fields(cfg):
         if f.type in ("str", "dict"):
             continue
@@ -246,6 +253,8 @@ def check_fields(cfg, lowest: dict) -> None:
             raise ValueError(f"{f.name} must fit in int64, got {value}")
         if any(v < lowest.get(f.name, -math.inf) for v in items):
             raise ValueError(f"{f.name} must be >= {lowest[f.name]}, got {value}")
+        if any(v > highest.get(f.name, math.inf) for v in items):
+            raise ValueError(f"{f.name} must be <= {highest[f.name]}, got {value}")
 
 
 def check_bias_ratio(bias_ratio: float) -> None:
@@ -279,7 +288,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self, {"n": 1, "classes": 2, "seed": 0})
+        check_fields(self, {"n": 1, "classes": 2, "seed": 0}, {"classes": MAX_CLASSES})
         check_bias_ratio(self.bias_ratio)
         if self.input_dim < 2 + self.classes:
             raise ValueError(

@@ -32,9 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (BiasedDataset, augment_image_batch, augment_vector_batch, check_fields,
-                   image_shape, split)
-from .losses import (UpweightSpec, check_labels, cross_entropy, cross_entropy_core,
-                     rank_penalty, stage1_loss)
+                   image_shape)
+from .losses import UpweightSpec, check_labels, cross_entropy_core, rank_penalty, stage1_loss
 from .nn import (
     AdamState,
     DenseNet,
@@ -294,13 +293,13 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
 
 def _upweighted(labels: np.ndarray, classes: int, error_set: ErrorSet | None,
                 lambda_up: float):
-    """_fit objective: cross-entropy over classes logits with the error
-    set's samples upweighted. Every label, the set and lambda_up are
-    checked and the per-sample weights built once, before the first step;
-    a step then gathers its labels and weights and runs the unchecked
-    cross_entropy_core, which picks each row's label entry at the flat
-    position row * classes + label, the row offsets built once per batch
-    size."""
+    """_fit objective of every supervised fit: cross-entropy over classes
+    logits, the error set's samples (if any) upweighted. The labels, the
+    set and lambda_up are checked and the weights built once, before the
+    first step; no error set, no weights. A step gathers its labels (and
+    weights) and runs the unchecked cross_entropy_core, which picks each
+    row's label entry at position row * classes + label, the row offsets
+    built once per batch size."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
     n = labels.shape[0]
     if n == 0:
@@ -309,8 +308,8 @@ def _upweighted(labels: np.ndarray, classes: int, error_set: ErrorSet | None,
     if error_set is not None and error_set.predictions.shape[0] != n:
         raise ValueError(f"error set built for {error_set.predictions.shape[0]} samples, "
                          f"labeled set has {n}")
-    spec = UpweightSpec(np.empty(0) if error_set is None else error_set.indices, lambda_up)
-    weights = spec.weights(n)
+    weights = (None if error_set is None
+               else UpweightSpec(error_set.indices, lambda_up).weights(n))
     offsets: dict[int, np.ndarray] = {}
 
     def objective(idx, outs):
@@ -319,7 +318,7 @@ def _upweighted(labels: np.ndarray, classes: int, error_set: ErrorSet | None,
         if rows is None:
             rows = offsets[B] = np.arange(B) * classes
         loss, dlogits = cross_entropy_core(outs[-1], rows + labels.take(idx),
-                                           weights.take(idx))
+                                           None if weights is None else weights.take(idx))
         return loss, {}, dlogits, None
 
     return objective
@@ -332,7 +331,8 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
               target: str = "y") -> tuple[Model, list[dict]]:
     """Supervised training: cross-entropy plus cfg.lambda_reg times the
     decorrelation penalty on the representations feeding the head;
-    lambda_reg = 0 is plain training.
+    lambda_reg = 0 is plain training. The cross-entropy is _upweighted's
+    without an error set: labels checked once per fit, no weights.
 
     target selects which label the classifier learns ("y" or "b", the
     latter for the reversed diagnostic). Returns the model and a per-epoch
@@ -348,6 +348,7 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     # a trailing batch of a single sample is skipped
     steps_per_epoch, epochs = _epochs(n, cfg.batch_size, cfg.epochs,
                                       stream(cfg.seed, "erm-batches"), 2)
+    ce_objective = _upweighted(labels, classes, None, cfg.lambda_up)
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "erm-encoder-init"))
     head = DenseNet.init([cfg.latent_dim, classes], stream(cfg.seed, "erm-head-init"))
@@ -355,9 +356,8 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
     def objective(idx, outs):
-        rep, logits = outs
-        ce, dlogits = cross_entropy(logits, labels[idx])
-        penalty, grad_rep = rank_penalty(rep, lam)
+        ce, _, dlogits, _ = ce_objective(idx, outs)
+        penalty, grad_rep = rank_penalty(outs[0], lam)
         return ce + lam * penalty, {"ce": ce, "rank_term": penalty}, dlogits, grad_rep
 
     def epoch_row(epoch, step, sums, count):
@@ -438,8 +438,8 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
     i.i.d. batch draws, run as a single epoch.
 
     With error_set given, its samples are upweighted by cfg.lambda_up;
-    without it, or with lambda_up = 1, the loss is plain cross-entropy
-    bit for bit.
+    without it (the error-set head) the fit passes no weights, and the
+    loss is plain cross-entropy, as with lambda_up = 1 bit for bit.
     """
     n = reps.shape[0]
     head = DenseNet.init([reps.shape[1], classes], stream(cfg.seed, rng_name + "-init"))
@@ -536,24 +536,6 @@ def error_set_quality(error_set: ErrorSet, ds: BiasedDataset
     precision = 100.0 * hits / len(error_set) if len(error_set) else float("nan")
     recall = 100.0 * hits / conflicting.size if conflicting.size else float("nan")
     return precision, recall
-
-
-def bias_metric(encoder: DenseNet, ds: BiasedDataset,
-                cfg: ExperimentConfig) -> float:
-    """How biased a frozen representation is: the accuracy of a linear probe
-    predicting the bias label divided by that of a probe predicting the
-    target label, both on a held-out half of ds."""
-    train, test = split(ds, (0.5, 0.5),
-                        seed=int(stream(cfg.seed, "probe-split").integers(2**31)))
-    reps_tr = apply(encoder, train.inputs)
-    reps_te = apply(encoder, test.inputs)
-    head_y = _train_head(reps_tr, train.y, train.num_classes, cfg, "probe-y")
-    head_b = _train_head(reps_tr, train.b, train.num_bias_classes, cfg, "probe-b")
-    acc_y = float(np.mean(np.argmax(apply(head_y, reps_te), axis=1) == test.y))
-    acc_b = float(np.mean(np.argmax(apply(head_b, reps_te), axis=1) == test.b))
-    if acc_y == 0.0:
-        raise ValueError("target probe accuracy is zero; ratio undefined")
-    return acc_b / acc_y
 
 
 # ------------------------------------------------------------ parallel jobs

@@ -5,14 +5,20 @@ finite differences instead of analytic gradients, eigendecomposition
 instead of SVD, explicit loops instead of vectorized updates. Keep it slow
 and obvious.
 
-The job functions at the end are what the run_jobs tests send to worker
-processes, which unpickle them by module and qualified name.
+bias_metric, the probe-accuracy ratio that the bias-metric acceptance
+gate reads, lives here because no command runs it. The job functions at
+the end are what the run_jobs tests send to worker processes, which
+unpickle them by module and qualified name.
 """
 
 import os
 import time
 
 import numpy as np
+
+from rankdebias.data import split
+from rankdebias.nn import apply
+from rankdebias.pipeline import _train_head, stream
 
 
 def central_diff(f, X, h=1e-5):
@@ -231,6 +237,23 @@ def loop_augment_images(X, rng, image_shape, cfg):
     for i in range(X.shape[0]):
         out[i] = _augment_image(X[i].reshape(image_shape), rng, cfg).reshape(-1)
     return out
+
+
+def bias_metric(encoder, ds, cfg) -> float:
+    """How biased a frozen representation is: the accuracy of a linear probe
+    predicting the bias label divided by that of a probe predicting the
+    target label, both on a held-out half of ds."""
+    train, test = split(ds, (0.5, 0.5),
+                        seed=int(stream(cfg.seed, "probe-split").integers(2**31)))
+    reps_tr = apply(encoder, train.inputs)
+    reps_te = apply(encoder, test.inputs)
+    head_y = _train_head(reps_tr, train.y, train.num_classes, cfg, "probe-y")
+    head_b = _train_head(reps_tr, train.b, train.num_bias_classes, cfg, "probe-b")
+    acc_y = float(np.mean(np.argmax(apply(head_y, reps_te), axis=1) == test.y))
+    acc_b = float(np.mean(np.argmax(apply(head_b, reps_te), axis=1) == test.b))
+    if acc_y == 0.0:
+        raise ValueError("target probe accuracy is zero; ratio undefined")
+    return acc_b / acc_y
 
 
 # ------------------------------------------------------------ run_jobs jobs

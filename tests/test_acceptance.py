@@ -39,7 +39,6 @@ from rankdebias.pipeline import (
     ErrorSet,
     ExperimentConfig,
     _chunk_rank,
-    bias_metric,
     debiased_linear_eval,
     erm_train,
     error_set_quality,
@@ -52,7 +51,7 @@ from rankdebias.pipeline import (
 )
 from rankdebias.spectral import effective_rank, rank_loss, rank_loss_grad, svd_values
 
-from helpers import central_diff, eig_svd, entropy_rank, rel_err
+from helpers import bias_metric, central_diff, eig_svd, entropy_rank, rel_err
 
 pytestmark = [
     pytest.mark.acceptance,

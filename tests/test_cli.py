@@ -9,6 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import fields
@@ -19,7 +20,7 @@ import pytest
 
 from rankdebias import cli, pipeline
 from rankdebias.cli import main
-from rankdebias.data import BiasedDataset, write_idx_images, write_idx_labels
+from rankdebias.data import MAX_CLASSES, BiasedDataset, write_idx_images, write_idx_labels
 from rankdebias.nn import DenseNet, load_checkpoint, save_checkpoint
 from rankdebias.pipeline import ExperimentConfig
 
@@ -303,6 +304,32 @@ def test_malformed_meta_json_exits_2_naming_it_before_out_exists(ws, tmp_path, c
     path.write_text("{not json" if edit == "not JSON" else json.dumps(meta))
     assert run(["erm", "--data", data, "--out", tmp_path / "o", *NET]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["erm", "debias", "data gen", "sweep"])
+def test_a_class_count_beyond_the_bound_exits_2_naming_it_before_out_exists(
+        ws, tmp_path, capsys, case):
+    huge = 10**12  # a [latent_dim, huge] head would need hundreds of TiB
+    data = tmp_path / "ds"
+    BiasedDataset.load(ws / "ds").save(data)
+    meta = data / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": huge}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": huge, "seed": [0]}))
+    ckpt = ws / "pre_b" / "encoder.ckpt"
+    argv, named = {
+        "erm": (["erm", "--data", data, *NET], f"{meta}: num_classes"),
+        "debias": (["debias", "--data", data, "--biased-ckpt", ckpt, "--main-ckpt", ckpt,
+                    *NET], f"{meta}: num_classes"),
+        "data gen": (["data", "gen", "--n", 10, "--classes", huge, "--input-dim", huge + 2],
+                     "classes"),
+        "sweep": (["sweep", "--spec", spec], "classes"),
+    }[case]
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named} must be <= {MAX_CLASSES}, got {huge}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -900,6 +927,63 @@ def test_every_config_field_round_trips_through_its_flag():
         flags += ["--" + f.name.replace("_", "-"), text]
     args = cli.build_parser().parse_args(["erm", "--data", "d", "--out", "o", *flags])
     assert cli._build_config(args) == cfg
+
+
+# for each ExperimentConfig field: the command that reads it and a value
+# off both its default and NET's
+FIELD_RUNS = {
+    "lambda_reg": ("pretrain", 0.5), "tau": ("pretrain", 0.5), "epochs": ("pretrain", 2),
+    "base_lr": ("pretrain", 1e-3), "warmup_epochs": ("pretrain", 0),
+    "weight_decay": ("pretrain", 0.1), "latent_dim": ("pretrain", 6),
+    "hidden_dims": ("pretrain", "16"), "proj_hidden": ("pretrain", 12),
+    "proj_dim": ("pretrain", 6), "seed": ("pretrain", 6),
+    "modality": ("pretrain", "cmnist-image"), "lambda_up": ("debias", 2.0),
+    "batch_size": ("erm", 32), "head_iters": ("debias", 40), "head_lr": ("debias", 0.05),
+    "finetune_epochs": ("debias", 3), "finetune_lr": ("debias", 1e-2),
+    "finetune_momentum": ("debias", 0.5), "finetune_weight_decay": ("debias", 0.01),
+}
+
+
+@pytest.fixture(scope="module")
+def field_runs(ws, tmp_path_factory):
+    """The artifacts of one run of each command, as the NET flags give them,
+    and a function running a command with more flags into a fresh --out.
+    The dataset's rows, scaled into (0, 1), are also 1 x 2 x 3 images, so
+    it serves either modality. The runs take seed 7: at NET's seed 5, some
+    image view's projection starts at zero norm."""
+    root = tmp_path_factory.mktemp("field_runs")
+    images = BiasedDataset.load(ws / "ds")
+    images.inputs = 0.5 + images.inputs / (2 * np.abs(images.inputs).max())
+    images.meta["image_shape"] = [1, 2, 3]
+    images.save(root / "ds")
+    ckpt = ws / "pre_b" / "encoder.ckpt"
+    argv = {"pretrain": ["pretrain", "--data", root / "ds", "--role", "biased"],
+            "erm": ["erm", "--data", root / "ds"],
+            "debias": ["debias", "--data", root / "ds", "--biased-ckpt", ckpt,
+                       "--main-ckpt", ws / "pre_m" / "encoder.ckpt", "--mode", "semisup"]}
+
+    def artifacts(command, *flags):
+        out = Path(tempfile.mkdtemp(dir=root))
+        assert run([*argv[command], *NET, "--seed", 7, *flags, "--out", out]) == 0
+        # the manifest and the checkpoint sidecars repeat the config itself
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "manifest.json" and not p.name.endswith(".ckpt.json")}
+
+    return {command: artifacts(command) for command in argv}, artifacts
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_every_config_field_changes_the_artifacts_of_a_run_that_reads_it(
+        field_runs, capsys, name):
+    base, artifacts = field_runs
+    command, value = FIELD_RUNS[name]
+    flag = "--" + name.replace("_", "-")
+    assert str(value) != str(getattr(ExperimentConfig(), name))
+    assert str(value) != (dict(zip(NET[::2], NET[1::2])) | {"--seed": "7"}).get(flag)
+    changed = artifacts(command, flag, value)
+    capsys.readouterr()
+    assert changed.keys() == base[command].keys()
+    assert changed != base[command], f"{name}={value} left every {command} artifact as it was"
 
 
 @pytest.mark.parametrize("value", ["a,b", ","])

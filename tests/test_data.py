@@ -21,6 +21,7 @@ from helpers import loop_augment_images, lstsq_probe
 from rankdebias.data import (
     BIAS_OFFSET,
     CMNIST_PALETTE,
+    MAX_CLASSES,
     BiasedDataset,
     GenConfig,
     ImageAugmentConfig,
@@ -98,6 +99,8 @@ def test_load_refuses_a_labels_csv_of_two_columns_naming_it(tmp_path):
     ("num_classes", True, "num_classes must be integral, got True"),
     ("num_classes", 2.0, "num_classes must be integral, got 2.0"),
     ("num_classes", 0, "num_classes must be >= 1, got 0"),
+    ("num_classes", MAX_CLASSES + 1, f"num_classes must be <= {MAX_CLASSES}, got 1025"),
+    ("num_bias_classes", 10**12, f"num_bias_classes must be <= {MAX_CLASSES}, got {10**12}"),
     ("num_bias_classes", "2", "num_bias_classes must be integral, got '2'"),
     ("num_bias_classes", False, "num_bias_classes must be integral, got False"),
     ("num_bias_classes", 2.5, "num_bias_classes must be integral, got 2.5"),
@@ -153,6 +156,16 @@ def test_save_load_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(back.aligned, ds.aligned)
     assert back.bias_ratio == ds.bias_ratio
     assert back.meta["generator"] == "colorpoints"
+
+
+@pytest.mark.filterwarnings("ignore:.*groups are empty")
+def test_a_dataset_with_the_most_classes_round_trips(tmp_path):
+    # every set data gen writes loads: GenConfig and meta.json share the bound
+    ds = gen_colorpoints(GenConfig(n=2 * MAX_CLASSES, classes=MAX_CLASSES,
+                                   input_dim=MAX_CLASSES + 2))
+    ds.save(tmp_path / "d")
+    back = BiasedDataset.load(tmp_path / "d")
+    assert (back.num_classes, back.num_bias_classes) == (MAX_CLASSES, MAX_CLASSES)
 
 
 def test_zero_row_dataset_round_trips_without_a_warning(tmp_path):
@@ -370,7 +383,8 @@ def test_gen_config_validation():
         GenConfig(n=10, classes=1)
     with pytest.raises(ValueError, match="input_dim"):
         GenConfig(n=10, classes=10, input_dim=8)
-    for field, value in (("n", 0), ("n", -3), ("seed", -1), ("noise", float("nan"))):
+    for field, value in (("n", 0), ("n", -3), ("seed", -1), ("noise", float("nan")),
+                         ("classes", MAX_CLASSES + 1)):
         with pytest.raises(ValueError, match=f"^{field} must"):
             GenConfig(**{"n": 10, field: value})
 

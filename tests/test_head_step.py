@@ -42,24 +42,27 @@ def assert_same_bytes(got, want):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 300),
        st.integers(1, 300), st.sampled_from([0.1, 1.0, 30.0]))
 def test_the_head_objective_is_byte_for_byte_the_public_loss(seed, C, B, short, scale):
-    # a full batch of i.i.d. draws, so rows repeat, then a shorter one,
-    # which must not reuse the full batch's label positions
+    # with an error set the objective is the weighted loss, without one the
+    # unweighted loss; each fit takes a full batch of i.i.d. draws, so rows
+    # repeat, then a shorter one, which must not reuse the full batch's
+    # label positions
     rng = np.random.default_rng(seed)
     n = max(B // 2, 1)
     labels = rng.integers(0, C, n)
     error_set = pipeline.ErrorSet(np.flatnonzero(rng.random(n) < 0.3),
                                   rng.integers(0, C, n))
     weights = UpweightSpec(error_set.indices, 8.0).weights(n)
-    objective = pipeline._upweighted(labels, C, error_set, 8.0)
-    for size in (B, min(short, B)):
-        idx = rng.integers(0, n, size)
-        logits = rng.normal(size=(size, C)) * scale
-        loss, _, grad, extra = objective(idx, [logits])
-        assert extra is None
-        want = cross_entropy(logits, labels[idx], weights[idx])
-        assert_same_bytes((loss, grad), want)
-        assert_same_bytes(want, idiom_xent(logits, labels[idx], weights[idx]))
-        for w in (weights[idx], None):
+    for errors, sample_weights in ((error_set, weights), (None, None)):
+        objective = pipeline._upweighted(labels, C, errors, 8.0)
+        for size in (B, min(short, B)):
+            idx = rng.integers(0, n, size)
+            logits = rng.normal(size=(size, C)) * scale
+            loss, _, grad, extra = objective(idx, [logits])
+            assert extra is None
+            w = None if sample_weights is None else sample_weights[idx]
+            want = cross_entropy(logits, labels[idx], w)
+            assert_same_bytes((loss, grad), want)
+            assert_same_bytes(want, idiom_xent(logits, labels[idx], w))
             picks = np.arange(size) * C + labels[idx]
             assert_same_bytes(cross_entropy_core(logits, picks, w),
                               idiom_xent(logits, labels[idx], w))
@@ -79,7 +82,14 @@ def test_the_head_step_tool_prints_time_threads_and_hash():
                           capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("head step: ") and "min of 2 fits of 20 steps" in lines[0]
-    assert lines[1].startswith("blas threads: ") and " nproc: " in lines[1]
-    digest = lines[2].removeprefix("head sha256: ")
-    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert len(lines) == 5
+    digests = []
+    for name, step, digest in (("error-set", lines[0], lines[1]),
+                               ("final", lines[2], lines[3])):
+        assert step.startswith(f"{name} head step: ")
+        assert "min of 2 fits of 20 steps" in step
+        digests.append(digest.removeprefix(f"{name} head sha256: "))
+        assert len(digests[-1]) == 64 and int(digests[-1], 16) >= 0
+    # the final head is upweighted, the error-set head is not
+    assert digests[0] != digests[1]
+    assert lines[4].startswith("blas threads: ") and " nproc: " in lines[4]

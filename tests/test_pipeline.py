@@ -26,7 +26,6 @@ from rankdebias.pipeline import (
     ExperimentConfig,
     MetricsReport,
     Model,
-    bias_metric,
     debiased_linear_eval,
     erm_train,
     error_set_quality,
@@ -819,7 +818,7 @@ def test_bias_metric_bias_only_encoder_is_large():
     C = 3
     enc = linear_net(np.vstack([np.zeros((C, C)), np.eye(C)]))
     cfg = tiny_cfg(head_iters=300)
-    assert bias_metric(enc, ds, cfg) > 2.0
+    assert helpers.bias_metric(enc, ds, cfg) > 2.0
 
 
 def test_bias_metric_balanced_encoder_is_near_one():
@@ -827,7 +826,7 @@ def test_bias_metric_balanced_encoder_is_near_one():
     C = 3
     enc = linear_net(np.eye(2 * C))
     cfg = tiny_cfg(head_iters=300)
-    m = bias_metric(enc, ds, cfg)
+    m = helpers.bias_metric(enc, ds, cfg)
     assert 0.9 < m < 1.1
 
 
@@ -835,7 +834,7 @@ def test_bias_metric_is_deterministic():
     ds = tiny_ds()
     cfg = tiny_cfg()
     enc, _ = pretrain_biased(ds, cfg)
-    assert bias_metric(enc, ds, cfg) == bias_metric(enc, ds, cfg)
+    assert helpers.bias_metric(enc, ds, cfg) == helpers.bias_metric(enc, ds, cfg)
 
 
 # ------------------------------------------------------------------ run_jobs

@@ -1,16 +1,19 @@
-"""Time one linear-head training step and print the trained head's sha256.
+"""Time a step of both linear-head fits of debias and print each trained
+head's sha256.
 
     python3 tools/head_step.py [--src SRC_DIR] [--fits 5] [--steps 3000]
 
-Fits a [64, 5] head, batch 128, with an upweighted error set, on fixed
-synthetic representations, --fits times for --steps Adam steps each,
-through the package's head trainer as debias runs it. Prints the minimum
-microseconds per step over the fits, the BLAS thread count, the usable
-cores and the sha256 of the trained head's parameters. Every fit starts
-from the same seed, so the hash is the same for every fit and any change
-that keeps the head's bytes prints the same hash. SRC_DIR, by default this
-checkout, is the tree whose src/ is imported, so one copy of the tool
-times two trees:
+Fits [64, 5] heads, batch 128, on fixed synthetic representations,
+through the package's head trainer as debias runs it: the error-set head,
+with no error set and so no weights, and the final head, with an
+upweighted error set. Each is fitted --fits times for --steps Adam steps,
+the two kinds taking turns. Prints, for each, the minimum microseconds
+per step over its fits and the sha256 of the trained head's parameters,
+then the BLAS thread count and the usable cores. Every fit of a kind
+starts from the same seed, so its hash is the same for every fit and any
+change that keeps the heads' bytes prints the same hashes. SRC_DIR, by
+default this checkout, is the tree whose src/ is imported, so one copy of
+the tool times two trees:
 
     OPENBLAS_NUM_THREADS=1 python3 tools/head_step.py --src OTHER_CHECKOUT
 """
@@ -56,19 +59,25 @@ def main(argv=None) -> int:
     labels = rng.integers(0, CLASSES, N)
     error_set = pipeline.ErrorSet(np.arange(0, N, 7), np.zeros(N, dtype=np.int64))
     cfg = pipeline.ExperimentConfig(head_iters=args.steps, batch_size=BATCH)
-    times, digests = [], set()
+    fits = {"error-set": None, "final": error_set}
+    times = {name: [] for name in fits}
+    digests = {name: set() for name in fits}
     for _ in range(args.fits):
-        start = time.perf_counter()
-        head = pipeline._train_head(reps, labels, CLASSES, cfg, "head-step", error_set)
-        times.append(time.perf_counter() - start)
-        digests.add(hashlib.sha256(head.flat.tobytes()).hexdigest())
-    if len(digests) != 1:
-        raise RuntimeError(f"fits from one seed trained different heads: {sorted(digests)}")
-    print(f"head step: {1e6 * min(times) / args.steps:.1f} us (min of {args.fits} fits of "
-          f"{args.steps} steps, [{WIDTH}, {CLASSES}] head, batch {BATCH})")
+        for name, errors in fits.items():
+            start = time.perf_counter()
+            head = pipeline._train_head(reps, labels, CLASSES, cfg, "head-step", errors)
+            times[name].append(time.perf_counter() - start)
+            digests[name].add(hashlib.sha256(head.flat.tobytes()).hexdigest())
+    for name in fits:
+        if len(digests[name]) != 1:
+            raise RuntimeError(f"{name} fits from one seed trained different heads: "
+                               f"{sorted(digests[name])}")
+        print(f"{name} head step: {1e6 * min(times[name]) / args.steps:.1f} us (min of "
+              f"{args.fits} fits of {args.steps} steps, [{WIDTH}, {CLASSES}] head, "
+              f"batch {BATCH})")
+        print(f"{name} head sha256: {digests[name].pop()}")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"blas threads: {blas_threads()}  nproc: {cores}")
-    print(f"head sha256: {digests.pop()}")
     return 0
 
 
