@@ -43,6 +43,7 @@ import numpy as np
 from .data import (
     INPUTS_NAME,
     MAX_CLASSES,
+    MAX_GEN_ENTRIES,
     BiasedDataset,
     GenConfig,
     check_bias_ratio,
@@ -458,6 +459,10 @@ class SweepSpec:
             raise ValueError(f"unknown sweep family {self.family!r}")
         # the bounds GenConfig applies in every job, checked before any runs
         check_fields(self, {"n": 1, "classes": 2, "test_n": 1}, {"classes": MAX_CLASSES})
+        for name in ("n", "test_n"):  # a job's sets have width 2 + classes
+            if getattr(self, name) * (2 + self.classes) > MAX_GEN_ENTRIES:
+                raise ValueError(f"{name} * (2 + classes) must be <= {MAX_GEN_ENTRIES}, "
+                                 f"got {getattr(self, name)} * {2 + self.classes}")
         for name in SWEEP_GRIDS:
             grid = getattr(self, name)
             if not grid:

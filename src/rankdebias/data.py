@@ -31,6 +31,9 @@ INPUTS_NAME = "inputs.npy"
 # (meta.json, GenConfig, a sweep spec): it bounds a head's logits, the
 # num_classes x num_bias_classes group tables and split's per-group loop
 MAX_CLASSES = 1024
+# the most input entries (rows x width) a generated dataset may have, 2 GiB
+# of float64, wherever a size enters (GenConfig, a sweep spec)
+MAX_GEN_ENTRIES = 1 << 28
 
 # Tint palette for color-MNIST. Every color has a channel equal to 1 so the
 # grayscale digit can be recovered exactly as the per-pixel channel maximum,
@@ -294,6 +297,9 @@ class GenConfig:
             raise ValueError(
                 f"input_dim must cover 2 arc coords + {self.classes} bias coords"
             )
+        if self.n * self.input_dim > MAX_GEN_ENTRIES:
+            raise ValueError(f"n * input_dim must be <= {MAX_GEN_ENTRIES}, "
+                             f"got {self.n} * {self.input_dim}")
 
 
 # Geometry and scale constants for the color-points generator. The arc

@@ -73,13 +73,18 @@ def cross_entropy_core(logits: np.ndarray, picks: np.ndarray, weights=None
     """cross_entropy's arithmetic with no checks: logits is a float64
     (n, C) array, picks holds the flat position k * C + label of each
     row's label entry, and weights is None or a float64 array of shape
-    (n,). The ufunc reductions are the ones the ndarray methods run."""
+    (n,). The row sum is the ufunc reduction the ndarray method runs. The
+    row max, exact in any order, reduces the rows of a transposed copy:
+    C passes over n contiguous entries, not n over C. Of a row's NaNs it
+    may keep another one than the ndarray method does, so a NaN's sign
+    bit can differ; that row's loss term and gradient are NaN either way."""
     n = logits.shape[0]
-    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
-    expl = np.exp(shifted)
-    Zsum = np.add.reduce(expl, 1)
-    grad = expl / Zsum[:, None]
-    ell = np.log(Zsum) - shifted.take(picks)
+    shifted = logits - np.maximum.reduce(logits.T.copy(), 0)[:, None]
+    grad = np.exp(shifted)
+    Zsum = np.add.reduce(grad, 1)
+    grad /= Zsum[:, None]
+    ell = np.log(Zsum)
+    ell -= shifted.take(picks)
     grad.reshape(-1)[picks] -= 1.0
     if weights is not None:
         ell *= weights
@@ -97,6 +102,12 @@ def debias_loss(logits, labels, spec: UpweightSpec) -> tuple[float, np.ndarray]:
     sweeps do not rescale the effective learning rate.
     """
     return cross_entropy(logits, labels, spec.weights(np.atleast_1d(logits).shape[0]))
+
+
+class ZeroNormRow(ValueError):
+    """nt_xent's refusal of an embedding row of norm 0, whose cosine
+    similarity is undefined. A ValueError to a library caller; pretraining
+    reads it as a degenerate step, a NaN loss."""
 
 
 def nt_xent(embeddings, tau: float) -> tuple[float, np.ndarray]:
@@ -119,7 +130,7 @@ def nt_xent(embeddings, tau: float) -> tuple[float, np.ndarray]:
         raise ValueError("need at least 2 samples per view (one negative per anchor)")
     norms = np.linalg.norm(Z, axis=1)
     if np.any(norms == 0.0):
-        raise ValueError("zero-norm embedding row: cosine similarity undefined")
+        raise ZeroNormRow("zero-norm embedding row: cosine similarity undefined")
     Zn = Z / norms[:, None]
 
     sim = (Zn @ Zn.T) / tau

@@ -33,7 +33,8 @@ import numpy as np
 
 from .data import (BiasedDataset, augment_image_batch, augment_vector_batch, check_fields,
                    image_shape)
-from .losses import UpweightSpec, check_labels, cross_entropy_core, rank_penalty, stage1_loss
+from .losses import (UpweightSpec, ZeroNormRow, check_labels, cross_entropy_core,
+                     rank_penalty, stage1_loss)
 from .nn import (
     AdamState,
     DenseNet,
@@ -49,6 +50,9 @@ from .spectral import effective_rank, svd_values
 
 RANK_EVAL_BATCH = 256
 MODALITIES = ("vector", "cmnist-image")
+# a head fit draws its batches in blocks of at most this many indices
+# (64 kB of int64), one rng.integers call a block
+_DRAW_BLOCK = 8192
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -406,7 +410,12 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
         return np.concatenate([augment(X, aug_rng, layout) for _ in range(2)], axis=0)
 
     def objective(idx, outs):
-        loss, grad_views, grad_proj = stage1_loss(*outs, cfg.tau, cfg.lambda_reg)
+        try:
+            loss, grad_views, grad_proj = stage1_loss(*outs, cfg.tau, cfg.lambda_reg)
+        except ZeroNormRow:
+            # a projection collapsed to zero: a training failure, which
+            # _fit's finite-loss check reports with its epoch and step
+            return math.nan, {}, None, None
         return loss, {"loss": loss}, grad_proj, grad_views
 
     def epoch_row(epoch, step, sums, count):
@@ -431,6 +440,17 @@ def pretrain_main(ds: BiasedDataset, cfg: ExperimentConfig
 # ------------------------------------------------------------- linear heads
 
 
+def _draws(rng: np.random.Generator, n: int, batch: int, steps: int):
+    """steps i.i.d. batches of batch indices in [0, n): the rows of one
+    rng.integers(0, n, (k, batch)) per block of k = _DRAW_BLOCK // batch
+    steps (at least 1). integers fills its output row-major from one bit
+    stream, so each row, and the generator's state after the last, equals
+    what a rng.integers(0, n, batch) call per step gives."""
+    per_block = max(1, _DRAW_BLOCK // batch)
+    for start in range(0, steps, per_block):
+        yield from rng.integers(0, n, (min(per_block, steps - start), batch))
+
+
 def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
                 cfg: ExperimentConfig, rng_name: str,
                 error_set: ErrorSet | None = None) -> DenseNet:
@@ -443,8 +463,8 @@ def _train_head(reps: np.ndarray, labels: np.ndarray, classes: int,
     """
     n = reps.shape[0]
     head = DenseNet.init([reps.shape[1], classes], stream(cfg.seed, rng_name + "-init"))
-    rng = stream(cfg.seed, rng_name + "-batches")
-    draws = (rng.integers(0, n, min(cfg.batch_size, n)) for _ in range(cfg.head_iters))
+    draws = _draws(stream(cfg.seed, rng_name + "-batches"), n, min(cfg.batch_size, n),
+                   cfg.head_iters)
     _fit([head], lambda idx: reps.take(idx, axis=0), [draws],
          _upweighted(labels, classes, error_set, cfg.lambda_up),
          _Optimizer(lambda step: cfg.head_lr), "head training")

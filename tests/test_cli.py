@@ -20,7 +20,8 @@ import pytest
 
 from rankdebias import cli, pipeline
 from rankdebias.cli import main
-from rankdebias.data import MAX_CLASSES, BiasedDataset, write_idx_images, write_idx_labels
+from rankdebias.data import (MAX_CLASSES, MAX_GEN_ENTRIES, BiasedDataset, write_idx_images,
+                             write_idx_labels)
 from rankdebias.nn import DenseNet, load_checkpoint, save_checkpoint
 from rankdebias.pipeline import ExperimentConfig
 
@@ -333,6 +334,28 @@ def test_a_class_count_beyond_the_bound_exits_2_naming_it_before_out_exists(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("case", ["data gen", "sweep n", "sweep test_n"])
+def test_a_generated_size_beyond_the_bound_exits_2_naming_it_before_out_exists(
+        tmp_path, capsys, case):
+    huge = 10**12  # 10 rows of this width would need 72.8 TiB
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"classes": 3, "seed": [0],
+                                case.removeprefix("sweep "): huge // 5}))
+    argv, named = {
+        "data gen": (["data", "gen", "--n", 10, "--classes", 3, "--input-dim", huge],
+                     f"n * input_dim must be <= {MAX_GEN_ENTRIES}, got 10 * {huge}"),
+        "sweep n": (["sweep", "--spec", spec],
+                    f"n * (2 + classes) must be <= {MAX_GEN_ENTRIES}, got {huge // 5} * 5"),
+        "sweep test_n": (["sweep", "--spec", spec], f"test_n * (2 + classes) must be <= "
+                         f"{MAX_GEN_ENTRIES}, got {huge // 5} * 5"),
+    }[case]
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("culprit", ["config", "spec", "sidecar"])
 def test_an_input_that_is_not_json_exits_2_naming_it_before_out_exists(
         ws, tmp_path, capsys, culprit):
@@ -407,6 +430,23 @@ def test_penalized_divergence_exits_1_and_keeps_partial_log(ws, tmp_path, capsys
     assert rc == 1
     assert "diverged" in err
     assert (tmp_path / "dvg" / "train_log.csv").exists()
+
+
+def test_a_zero_norm_projection_row_is_a_divergence_with_its_step(ws, tmp_path, capsys):
+    # at NET's seed 5, some image view's projection of these rows, scaled
+    # into (0, 1), starts at zero norm: a training failure, not bad input
+    images = BiasedDataset.load(ws / "ds")
+    images.inputs = 0.5 + images.inputs / (2 * np.abs(images.inputs).max())
+    images.meta["image_shape"] = [1, 2, 3]
+    images.save(tmp_path / "ds")
+    rc = run(["pretrain", "--data", tmp_path / "ds", "--role", "biased",
+              "--modality", "cmnist-image", "--out", tmp_path / "dvg", *NET])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: pretrain diverged: loss nan at epoch 0, step " in err
+    assert "(partial log kept: 0 epochs)" in err
+    assert (tmp_path / "dvg" / "train_log.csv").exists()
+    assert not (tmp_path / "dvg" / "encoder.ckpt").exists()
 
 
 def test_manifest_is_written_after_the_artifacts(ws, tmp_path, monkeypatch):
