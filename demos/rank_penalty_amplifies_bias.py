@@ -9,8 +9,6 @@ conflicting samples. That error set is what the debiasing stage upweights.
 
 from dataclasses import replace
 
-import numpy as np
-
 from rankdebias.data import GenConfig, gen_colorpoints, make_unbiased_testset
 from rankdebias.pipeline import (ErrorSet, ExperimentConfig, erm_train,
                                  error_set_quality, evaluate)
@@ -35,8 +33,7 @@ def main():
     for lam in (0.0, 0.1, 1.0):
         model, log = erm_train(ds, replace(cfg, lambda_reg=lam))
         report = evaluate(model, test)
-        pred = model.predict(ds.inputs)
-        errors = ErrorSet(np.flatnonzero(pred != ds.y), pred)
+        errors = ErrorSet.misses(model.predict(ds.inputs), ds.y)
         precision, recall = error_set_quality(errors, ds)
         print(f"{lam:>10g} {report.bias_conflict_acc:>8.1f}% "
               f"{report.bias_aligned_acc:>7.1f}% {log[-1]['eff_rank']:>9.3f} "

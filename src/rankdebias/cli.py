@@ -36,6 +36,7 @@ import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,7 @@ def cmd_data(args) -> int:
             input_dim=2 + args.classes if args.input_dim is None else args.input_dim,
             seed=args.seed,
         )
+        generate = partial(gen_colorpoints, gen_cfg)
         inputs = {}
         config = {"generator": "colorpoints", **asdict(gen_cfg)}
     else:
@@ -286,6 +288,8 @@ def cmd_data(args) -> int:
             if not Path(path).is_file():
                 raise FileNotFoundError(f"no IDX file at {path}")
         check_bias_ratio(args.bias_ratio)
+        generate = partial(cmnist_from_idx, args.images, args.labels,
+                           bias_ratio=args.bias_ratio, seed=args.seed)
         inputs = {"images": args.images, "labels": args.labels}
         config = {
             "generator": "cmnist",
@@ -294,11 +298,7 @@ def cmd_data(args) -> int:
         }
 
     def work(stage, manifest_hash):
-        if args.data_cmd == "gen":
-            ds = gen_colorpoints(gen_cfg)
-        else:
-            ds = cmnist_from_idx(args.images, args.labels,
-                                 bias_ratio=args.bias_ratio, seed=args.seed)
+        ds = generate()
         ds.save(stage)
         counts = ds.group_counts()
         print(f"wrote dataset to {args.out}")
@@ -342,7 +342,7 @@ def cmd_pretrain(args) -> int:
 def cmd_erm(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args.data)
-    test = _load_dataset(args.test, ds.input_dim) if args.test else None
+    eval_ds = _load_dataset(args.test, ds.input_dim) if args.test else ds
     columns = ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"]
 
     def work(stage, manifest_hash):
@@ -350,11 +350,9 @@ def cmd_erm(args) -> int:
         sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}
         save_checkpoint(stage / "encoder.ckpt", model.encoder, sidecar)
         save_checkpoint(stage / "head.ckpt", model.head, sidecar)
-        labels = ds.y if args.target == "y" else ds.b
-        train_pred = model.predict(ds.inputs)
-        error_set = ErrorSet(np.flatnonzero(train_pred != labels), train_pred)
+        error_set = ErrorSet.misses(model.predict(ds.inputs),
+                                    ds.y if args.target == "y" else ds.b)
         _write_error_set(stage / "error_set.csv", error_set)
-        eval_ds = test if test is not None else ds
         if args.target == "y":
             report = evaluate(model, eval_ds, error_set, ds)
             metrics = report.to_dict()
@@ -384,6 +382,9 @@ def cmd_debias(args) -> int:
     main_enc = _load_encoder(args.main_ckpt, ds.input_dim)
     labeled = label_fraction_split(ds, args.label_fraction,
                                    int(stream(cfg.seed, "label-split").integers(2**31)))
+    if len(labeled) == 0:
+        raise ValueError(f"--label-fraction {args.label_fraction} labels none of the "
+                         f"{len(ds)} samples of {args.data}")
 
     def work(stage, manifest_hash):
         sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}
@@ -495,8 +496,7 @@ def _sweep_job(family: str, base: ExperimentConfig, n: int, classes: int,
     test = make_unbiased_testset(source, seed=test_seed + 1)
     if family == "erm":
         model, _ = erm_train(ds, cfg)
-        pred = model.predict(ds.inputs)
-        error_set = ErrorSet(np.flatnonzero(pred != ds.y), pred)
+        error_set = ErrorSet.misses(model.predict(ds.inputs), ds.y)
     else:
         biased_enc, _ = pretrain_biased(ds, cfg)
         main_enc, _ = pretrain_main(ds, cfg)

@@ -268,12 +268,15 @@ def check_bias_ratio(bias_ratio: float) -> None:
 
 def image_shape(ds: BiasedDataset, where: str = "dataset") -> tuple[int, int, int]:
     """The (c, h, w) of the flattened images that are ds's rows, the
-    image_shape of its meta.json. A dataset without one, or whose width is
-    not its product, raises ValueError starting with where."""
+    image_shape of its meta.json. A dataset without one, or whose
+    image_shape is not three positive integers whose product is the width,
+    raises ValueError starting with where."""
     shape = ds.meta.get("image_shape")
     if shape is None:
         raise ValueError(f"{where}: meta.json has no image_shape, so its rows are not images")
-    if len(shape) != 3 or math.prod(shape) != ds.input_dim:
+    if not (isinstance(shape, (list, tuple)) and len(shape) == 3
+            and all(type(s) is int and s > 0 for s in shape)
+            and math.prod(shape) == ds.input_dim):
         raise ValueError(f"{where}: rows have width {ds.input_dim}, "
                          f"not the product of image_shape {shape}")
     return tuple(shape)
@@ -536,7 +539,7 @@ def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, .
                 start = edge
     out = []
     for i, chunks in enumerate(parts):
-        sel = np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
+        sel = np.sort(np.concatenate(chunks))
         if sel.size == 0:
             warnings.warn(f"split part {i} is empty", stacklevel=2)
         out.append(ds.take(sel))

@@ -139,6 +139,17 @@ class ErrorSet:
         ):
             raise ValueError("error index outside the labeled set")
 
+    @classmethod
+    def misses(cls, predictions: np.ndarray, labels: np.ndarray) -> "ErrorSet":
+        """The samples whose prediction is not their label."""
+        return cls(np.flatnonzero(predictions != labels), predictions)
+
+    def check_built_for(self, n: int) -> None:
+        """Raise ValueError unless the prediction snapshot covers n samples."""
+        if self.predictions.shape[0] != n:
+            raise ValueError(f"error set built for {self.predictions.shape[0]} samples, "
+                             f"labeled set has {n}")
+
     def __len__(self) -> int:
         return self.indices.size
 
@@ -225,17 +236,19 @@ def _cosine_adam(cfg: ExperimentConfig, steps_per_epoch: int) -> _Optimizer:
 
 
 def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
-         stage: str, epoch_row=None) -> list[dict]:
+         stage: str, probe=None, logged_loss=None) -> list[dict]:
     """The training loop of every stage; updates the nets in place.
 
     The nets are chained, each feeding the next. epochs yields, per epoch,
     an iterable of index batches; rows(idx) builds the input rows.
     objective(idx, outs) sees every net's output and returns (loss, terms,
     grad on the last output, extra grad on the first net's output or
-    None); the extra grad is added to the backpropagated one. After each
-    epoch, epoch_row(epoch, steps so far, per-term sums, batch count)
-    builds a log row. A non-finite loss raises TrainingDiverged carrying
-    the rows so far.
+    None); the extra grad is added to the backpropagated one. Given probe
+    rows, each epoch logs a row of its index, the epoch mean of every term,
+    the learning rate of the next step and the effective rank of the first
+    net's outputs on probe, plus, given logged_loss, a "loss" of
+    logged_loss(per-term sums, batch count). A non-finite loss raises
+    TrainingDiverged carrying the rows so far.
 
     What can be checked once is checked before the fit, by the stage and
     its objective; a step checks only what changes with it: forward,
@@ -290,8 +303,12 @@ def _fit(nets: list[DenseNet], rows, epochs, objective, opt: _Optimizer,
                 sums[name] = sums.get(name, 0.0) + value
             count += 1
             step += 1
-        if epoch_row is not None:
-            log.append(epoch_row(epoch, step, sums, count))
+        if probe is not None:
+            row = {"epoch": epoch, **{term: float(total / count) for term, total in sums.items()},
+                   "lr": float(opt.lr(step)), "eff_rank": _chunk_rank(apply(nets[0], probe))}
+            if logged_loss is not None:
+                row["loss"] = float(logged_loss(sums, count))
+            log.append(row)
     return log
 
 
@@ -309,9 +326,8 @@ def _upweighted(labels: np.ndarray, classes: int, error_set: ErrorSet | None,
     if n == 0:
         raise ValueError("labeled set is empty")
     check_labels(labels, classes)
-    if error_set is not None and error_set.predictions.shape[0] != n:
-        raise ValueError(f"error set built for {error_set.predictions.shape[0]} samples, "
-                         f"labeled set has {n}")
+    if error_set is not None:
+        error_set.check_built_for(n)
     weights = (None if error_set is None
                else UpweightSpec(error_set.indices, lambda_up).weights(n))
     offsets: dict[int, np.ndarray] = {}
@@ -345,8 +361,8 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     lam = cfg.lambda_reg
     if target not in ("y", "b"):
         raise ValueError(f"target must be 'y' or 'b', got {target!r}")
-    labels = ds.y if target == "y" else ds.b
-    classes = ds.num_classes if target == "y" else ds.num_bias_classes
+    labels, classes = ((ds.y, ds.num_classes) if target == "y"
+                       else (ds.b, ds.num_bias_classes))
     n, m = ds.inputs.shape
 
     # a trailing batch of a single sample is skipped
@@ -356,26 +372,15 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "erm-encoder-init"))
     head = DenseNet.init([cfg.latent_dim, classes], stream(cfg.seed, "erm-head-init"))
-    opt = _cosine_adam(cfg, steps_per_epoch)
-    probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
     def objective(idx, outs):
         ce, _, dlogits, _ = ce_objective(idx, outs)
         penalty, grad_rep = rank_penalty(outs[0], lam)
         return ce + lam * penalty, {"ce": ce, "rank_term": penalty}, dlogits, grad_rep
 
-    def epoch_row(epoch, step, sums, count):
-        return {
-            "epoch": epoch,
-            "loss": float(sums["ce"] / count + lam * sums["rank_term"] / count),
-            "ce": float(sums["ce"] / count),
-            "rank_term": float(sums["rank_term"] / count),
-            "lr": float(opt.lr(step)),
-            "eff_rank": _chunk_rank(apply(encoder, probe)),
-        }
-
-    log = _fit([encoder, head], ds.inputs.__getitem__, epochs, objective, opt,
-               "erm_train", epoch_row)
+    log = _fit([encoder, head], ds.inputs.__getitem__, epochs, objective,
+               _cosine_adam(cfg, steps_per_epoch), "erm_train", ds.inputs[:RANK_EVAL_BATCH],
+               lambda sums, count: sums["ce"] / count + lam * sums["rank_term"] / count)
     return Model(encoder, head), log
 
 
@@ -402,8 +407,6 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
         augment, layout = augment_vector_batch, ds.inputs.std(axis=0)
     else:
         augment, layout = augment_image_batch, image_shape(ds)
-    opt = _cosine_adam(cfg, steps_per_epoch)
-    probe = ds.inputs[:min(RANK_EVAL_BATCH, n)]
 
     def views(idx):
         X = ds.inputs[idx]
@@ -418,15 +421,8 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
             return math.nan, {}, None, None
         return loss, {"loss": loss}, grad_proj, grad_views
 
-    def epoch_row(epoch, step, sums, count):
-        return {
-            "epoch": epoch,
-            "loss": float(sums["loss"] / count),
-            "eff_rank": _chunk_rank(apply(encoder, probe)),
-            "lr": float(opt.lr(step)),
-        }
-
-    log = _fit([encoder, proj], views, epochs, objective, opt, "pretrain", epoch_row)
+    log = _fit([encoder, proj], views, epochs, objective, _cosine_adam(cfg, steps_per_epoch),
+               "pretrain", ds.inputs[:RANK_EVAL_BATCH])
     return encoder, log
 
 
@@ -478,9 +474,7 @@ def identify_error_set(biased_encoder: DenseNet, ds: BiasedDataset,
     smallest class index."""
     reps = apply(biased_encoder, ds.inputs)
     head = _train_head(reps, ds.y, ds.num_classes, cfg, "error-head")
-    predictions = np.argmax(apply(head, reps), axis=1)
-    indices = np.flatnonzero(predictions != ds.y)
-    return ErrorSet(indices, predictions)
+    return ErrorSet.misses(np.argmax(apply(head, reps), axis=1), ds.y)
 
 
 def debiased_linear_eval(main_encoder: DenseNet, ds: BiasedDataset,
@@ -549,8 +543,10 @@ def evaluate(model: Model, test: BiasedDataset, error_set: ErrorSet | None = Non
 def error_set_quality(error_set: ErrorSet, ds: BiasedDataset
                       ) -> tuple[float, float]:
     """Precision and recall (percent) of the error set against the
-    ground-truth conflicting samples. An empty error set has undefined
-    precision (NaN) and zero recall."""
+    ground-truth conflicting samples of ds, the set it was built on (else
+    ValueError). An empty error set has undefined precision (NaN) and zero
+    recall."""
+    error_set.check_built_for(len(ds))
     conflicting = np.flatnonzero(~ds.aligned)
     hits = np.intersect1d(error_set.indices, conflicting).size
     precision = 100.0 * hits / len(error_set) if len(error_set) else float("nan")

@@ -134,9 +134,10 @@ def cluster_reorder(C) -> np.ndarray:
     """Permutation exposing block structure in a correlation matrix.
 
     Runs average-linkage agglomerative clustering on the distance
-    1 - |C[i, j]| and returns the dendrogram leaf order. Ties are broken
-    toward the smallest cluster indices, so an identity correlation matrix
-    maps to the identity permutation.
+    1 - |C[i, j]| of a symmetric C, as every correlation matrix is, and
+    returns the dendrogram leaf order. Ties are broken toward the smallest
+    cluster indices, so an identity correlation matrix maps to the
+    identity permutation.
     """
     C = _as_finite_2d(C, "C")
     d = C.shape[0]
@@ -153,9 +154,8 @@ def cluster_reorder(C) -> np.ndarray:
     for _ in range(d - 1):
         # first minimum in row-major order == smallest (i, j) tie-break
         flat = np.argmin(dist)
+        # a < b: dist stays symmetric, and its diagonal is inf
         a, b = divmod(int(flat), d)
-        if a > b:
-            a, b = b, a
         # Lance-Williams update for average linkage: merge b into a
         na, nb = sizes[a], sizes[b]
         merged = (na * dist[a] + nb * dist[b]) / (na + nb)

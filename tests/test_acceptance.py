@@ -276,8 +276,7 @@ def _penalty_run(lam: float) -> dict:
                                    seed=100, input_dim=7))
     model, _ = erm_train(ds, replace(cfg, lambda_reg=lam))
     report = evaluate(model, test)
-    pred = model.predict(ds.inputs)
-    errors = ErrorSet(np.flatnonzero(pred != ds.y), pred)
+    errors = ErrorSet.misses(model.predict(ds.inputs), ds.y)
     precision, recall = error_set_quality(errors, ds)
     return {"report": report, "precision": precision, "recall": recall}
 

@@ -37,6 +37,17 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def assert_refused(code, capsys, out, named: str) -> str:
+    """An input refused as it should be: exit 2, named on stderr, --out
+    never created and no traceback. Returns stderr for further checks."""
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert named in err
+    assert "Traceback" not in err
+    assert not Path(out).exists()
+    return err
+
+
 def child_env() -> dict:
     """The environment of a `python -m rankdebias.cli` child: this one, with
     the package's source directory on PYTHONPATH."""
@@ -126,16 +137,13 @@ def test_seed_beyond_int64_still_works(tmp_path, capsys):
 def test_data_gen_bad_value_names_field_and_exits_2(tmp_path, capsys, flag, value):
     rc = run(["data", "gen", "--n", 50, "--classes", 3, "--" + flag, value,
               "--out", tmp_path / "d"])
-    assert rc == 2
-    assert f"{flag.replace('-', '_')} must" in capsys.readouterr().err
-    assert not (tmp_path / "d").exists()
+    assert_refused(rc, capsys, tmp_path / "d", f"{flag.replace('-', '_')} must")
 
 
 def test_data_cmnist_missing_file_names_path(tmp_path, capsys):
     rc = run(["data", "cmnist", "--images", tmp_path / "gone-images.idx",
               "--labels", tmp_path / "gone-labels.idx", "--out", tmp_path / "o"])
-    assert rc == 2
-    assert "gone-images.idx" in capsys.readouterr().err
+    assert_refused(rc, capsys, tmp_path / "o", "gone-images.idx")
 
 
 def test_data_cmnist_bad_bias_ratio_exits_2_before_creating_out(tmp_path, capsys):
@@ -143,9 +151,7 @@ def test_data_cmnist_bad_bias_ratio_exits_2_before_creating_out(tmp_path, capsys
     write_idx_labels(tmp_path / "l.idx", np.arange(4))
     rc = run(["data", "cmnist", "--images", tmp_path / "i.idx", "--labels",
               tmp_path / "l.idx", "--bias-ratio", 0, "--out", tmp_path / "o"])
-    assert rc == 2
-    assert "bias_ratio must be in (0, 1]" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(rc, capsys, tmp_path / "o", "bias_ratio must be in (0, 1]")
 
 
 @pytest.mark.parametrize("corrupt", ["truncated", "float32", "csv only"])
@@ -161,15 +167,12 @@ def test_pretrain_on_corrupt_inputs_exits_2_naming_the_file(ws, tmp_path, capsys
         inputs.unlink()
         (data / "inputs.csv").write_text("0.5,0.5,0.5,0.5,0.5,0.5\n")
     rc = run(["pretrain", "--data", data, "--role", "main", "--out", tmp_path / "p", *NET])
-    assert rc == 2
-    assert str(inputs) in capsys.readouterr().err
-    assert not (tmp_path / "p").exists()
+    assert_refused(rc, capsys, tmp_path / "p", str(inputs))
 
 
 def test_missing_dataset_directory_names_path(tmp_path, capsys):
     rc = run(["erm", "--data", tmp_path / "absent", "--out", tmp_path / "o", *NET])
-    assert rc == 2
-    assert "absent" in capsys.readouterr().err
+    assert_refused(rc, capsys, tmp_path / "o", "absent")
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -198,13 +201,17 @@ def test_input_path_of_the_wrong_kind_exits_2_naming_it(ws, tmp_path, capsys, co
     }
     # the last of a repeated flag wins
     rc = run([*valid[command], flag, wrong, "--out", tmp_path / "o"])
-    assert rc == 2
-    assert str(wrong) in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(rc, capsys, tmp_path / "o", str(wrong))
+
+
+# image_shape values that are not three positive integers; each list multiplies to 6
+BAD_IMAGE_SHAPES = {"image-shape-str": "abc", "image-shape-float": [1, 2.0, 3],
+                    "image-shape-bool": [True, 2, 3], "image-shape-negative": [-1, -1, 6]}
 
 
 @pytest.mark.parametrize("case", ["erm-test", "debias-test", "biased-ckpt", "main-ckpt",
-                                  "spectrum-ckpt", "image-meta", "image-width"])
+                                  "spectrum-ckpt", "image-meta", "image-width",
+                                  *BAD_IMAGE_SHAPES])
 def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         ws, width7, tmp_path, capsys, monkeypatch, case):
     def refuse(*args, **kwargs):
@@ -214,6 +221,11 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         monkeypatch.setattr(cli, trainer, refuse)
     ds, ckpt = ws / "ds", ws / "pre_b" / "encoder.ckpt"
     ds7, ckpt7, images = width7 / "ds", width7 / "encoder.ckpt", width7 / "images"
+    shaped = tmp_path / "shaped"
+    if case in BAD_IMAGE_SHAPES:
+        bad = BiasedDataset.load(ds)
+        bad.meta["image_shape"] = BAD_IMAGE_SHAPES[case]
+        bad.save(shaped)
     debias = ["debias", "--data", ds, "--biased-ckpt", ckpt, "--main-ckpt", ckpt]
     image = ["pretrain", "--role", "main", "--modality", "cmnist-image", *NET]
     argv, culprit = {
@@ -225,11 +237,11 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         # a data gen set has no image_shape; images holds 7 values a row, not 6
         "image-meta": ([*image, "--data", ds], ds),
         "image-width": ([*image, "--data", images], images),
+        **dict.fromkeys(BAD_IMAGE_SHAPES, ([*image, "--data", shaped],
+                                           f"{shaped}: rows have width 6, not the product")),
     }[case]
     # the last of a repeated flag wins
-    assert run([*argv, "--out", tmp_path / "o"]) == 2
-    assert str(culprit) in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o", str(culprit))
 
 
 @pytest.mark.parametrize("command", ["erm", "debias"])
@@ -246,9 +258,8 @@ def test_labels_outside_their_classes_exit_2_naming_labels_csv_before_out_exists
     argv = {"erm": ["erm", "--data", data],
             "debias": ["debias", "--data", data, "--biased-ckpt", ckpt, "--main-ckpt", ckpt,
                        "--label-fraction", 0.5]}[command]
-    assert run([*argv, "--out", tmp_path / "o", *NET]) == 2
-    assert f"{labels}: " in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run([*argv, "--out", tmp_path / "o", *NET]), capsys, tmp_path / "o",
+                   f"{labels}: ")
 
 
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
@@ -283,9 +294,8 @@ def test_non_finite_inputs_or_weights_exit_2_naming_the_file_before_out_exists(
             "debias": ["debias", "--data", paths["data"], "--biased-ckpt",
                        paths["biased-ckpt"], "--main-ckpt", paths["main-ckpt"]],
             "spectrum": ["spectrum", "--data", paths["data"], "--ckpt", paths["ckpt"]]}[command]
-    assert run([*argv, "--out", tmp_path / "o"]) == 2
-    assert f"error: {path}: holds non-finite values" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o",
+                   f"error: {path}: holds non-finite values")
 
 
 def test_the_finite_check_passes_an_empty_array():
@@ -303,9 +313,8 @@ def test_malformed_meta_json_exits_2_naming_it_before_out_exists(ws, tmp_path, c
     else:
         meta["num_classes"] = str(meta["num_classes"])
     path.write_text("{not json" if edit == "not JSON" else json.dumps(meta))
-    assert run(["erm", "--data", data, "--out", tmp_path / "o", *NET]) == 2
-    assert f"error: {path}: " in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run(["erm", "--data", data, "--out", tmp_path / "o", *NET]), capsys,
+                   tmp_path / "o", f"error: {path}: ")
 
 
 @pytest.mark.parametrize("case", ["erm", "debias", "data gen", "sweep"])
@@ -327,11 +336,8 @@ def test_a_class_count_beyond_the_bound_exits_2_naming_it_before_out_exists(
                      "classes"),
         "sweep": (["sweep", "--spec", spec], "classes"),
     }[case]
-    assert run([*argv, "--out", tmp_path / "o"]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {named} must be <= {MAX_CLASSES}, got {huge}" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o",
+                   f"error: {named} must be <= {MAX_CLASSES}, got {huge}")
 
 
 @pytest.mark.parametrize("case", ["data gen", "sweep n", "sweep test_n"])
@@ -349,11 +355,8 @@ def test_a_generated_size_beyond_the_bound_exits_2_naming_it_before_out_exists(
         "sweep test_n": (["sweep", "--spec", spec], f"test_n * (2 + classes) must be <= "
                          f"{MAX_GEN_ENTRIES}, got {huge // 5} * 5"),
     }[case]
-    assert run([*argv, "--out", tmp_path / "o"]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {named}" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o",
+                   f"error: {named}")
 
 
 @pytest.mark.parametrize("culprit", ["config", "spec", "sidecar"])
@@ -367,9 +370,8 @@ def test_an_input_that_is_not_json_exits_2_naming_it_before_out_exists(
     argv = {"config": ["erm", "--data", ws / "ds", "--config", path, *NET],
             "spec": ["sweep", "--spec", path],
             "sidecar": ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"]}[culprit]
-    assert run([*argv, "--out", tmp_path / "o"]) == 2
-    assert f"error: {path}: " in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o",
+                   f"error: {path}: ")
 
 
 # --------------------------------------------------------------- pretrain
@@ -585,9 +587,7 @@ def test_bad_config_value_names_field_and_exits_2(ws, tmp_path, capsys, field, v
         ExperimentConfig(**{field: value})
     rc = run(["pretrain", "--data", ws / "ds", "--role", "biased",
               "--out", tmp_path / "p", *NET, "--" + field.replace("_", "-"), value])
-    assert rc == 2
-    assert field in capsys.readouterr().err
-    assert not (tmp_path / "p").exists()
+    assert_refused(rc, capsys, tmp_path / "p", field)
 
 
 # -------------------------------------------------------------------- erm
@@ -680,9 +680,7 @@ def test_debias_dimension_mismatch_exits_2(ws, tmp_path, capsys):
               "--biased-ckpt", ws / "pre_b" / "encoder.ckpt",
               "--main-ckpt", ws / "pre_m" / "encoder.ckpt",
               "--out", tmp_path / "d4", *NET])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "width 6" in err and "width 9" in err
+    assert "width 6" in assert_refused(rc, capsys, tmp_path / "d4", "width 9")
 
 
 @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])
@@ -691,11 +689,18 @@ def test_debias_label_fraction_outside_0_1_exits_2_before_out_exists(
     rc = run(["debias", "--data", ws / "ds", "--biased-ckpt", ws / "pre_b" / "encoder.ckpt",
               "--main-ckpt", ws / "pre_m" / "encoder.ckpt", "--label-fraction", fraction,
               "--out", tmp_path / "o", *NET])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "label fraction must be in (0, 1]" in err
+    err = assert_refused(rc, capsys, tmp_path / "o", "label fraction must be in (0, 1]")
     assert f"got {float(fraction)}" in err
-    assert not (tmp_path / "o").exists()
+
+
+def test_debias_label_fraction_that_labels_nothing_exits_2_before_out_exists(
+        ws, tmp_path, capsys):
+    # every (y, b) group of the 480 rows rounds 0.001 of itself to no sample
+    rc = run(["debias", "--data", ws / "ds", "--biased-ckpt", ws / "pre_b" / "encoder.ckpt",
+              "--main-ckpt", ws / "pre_m" / "encoder.ckpt", "--label-fraction", 0.001,
+              "--out", tmp_path / "o", *NET])
+    assert_refused(rc, capsys, tmp_path / "o",
+                   f"error: --label-fraction 0.001 labels none of the 480 samples of {ws / 'ds'}")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -721,8 +726,7 @@ def test_spectrum_degenerate_checkpoint_exits_2(ws, tmp_path, capsys):
     ckpt = tmp_path / "one-dim.ckpt"
     ckpt.write_bytes(b"DFND" + struct.pack("<III", 1, 1, 6))
     rc = run(["spectrum", "--ckpt", ckpt, "--data", ws / "ds", "--out", tmp_path / "sp"])
-    assert rc == 2
-    assert "one-dim.ckpt" in capsys.readouterr().err
+    assert_refused(rc, capsys, tmp_path / "sp", "one-dim.ckpt")
 
 
 # ------------------------------------------------------------------- sweep
@@ -914,7 +918,7 @@ def test_main_restores_the_callers_sigterm_handler(tmp_path, capsys):
     argv = ["sweep", "--spec", tmp_path / "none.json", "--out", tmp_path / "sw"]
     previous = signal.signal(signal.SIGTERM, callers)
     try:
-        assert run(argv) == 2
+        assert_refused(run(argv), capsys, tmp_path / "sw", "none.json")
         assert signal.getsignal(signal.SIGTERM) is callers
     finally:
         signal.signal(signal.SIGTERM, previous)
@@ -928,8 +932,7 @@ def test_main_restores_the_callers_sigterm_handler(tmp_path, capsys):
 
 def test_sweep_missing_spec_exits_2(tmp_path, capsys):
     rc = run(["sweep", "--spec", tmp_path / "none.json", "--out", tmp_path / "sw"])
-    assert rc == 2
-    assert "none.json" in capsys.readouterr().err
+    assert_refused(rc, capsys, tmp_path / "sw", "none.json")
 
 
 # ------------------------------------------------- config file and env var
@@ -1031,9 +1034,7 @@ def test_bad_hidden_dims_names_the_flag_and_exits_2(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
         run(["erm", "--data", tmp_path / "d", "--out", tmp_path / "o",
              "--hidden-dims", value])
-    assert exc.value.code == 2
-    assert "argument --hidden-dims" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert_refused(exc.value.code, capsys, tmp_path / "o", "argument --hidden-dims")
 
 
 def test_config_file_unknown_field_exits_2(ws, tmp_path, capsys):
@@ -1074,10 +1075,7 @@ def test_config_file_unknown_field_exits_2(ws, tmp_path, capsys):
             argv = ["pretrain", "--data", ws / "ds", "--role", "main", "--config", cfg_file]
         else:
             argv = ["sweep", "--spec", cfg_file]
-        rc = run([*argv, "--out", tmp_path / "p"])
-        assert rc == 2, contents
-        assert named in capsys.readouterr().err, contents
-        assert not (tmp_path / "p").exists(), contents
+        assert_refused(run([*argv, "--out", tmp_path / "p"]), capsys, tmp_path / "p", named)
 
 
 def test_output_root_env_var(ws, tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """The demos call the library the way its signatures allow. No test runs
 them, as each trains for minutes, so a removed or renamed parameter would
 otherwise break them silently. Each demo is parsed with ast, and every
-call to a name it imports from rankdebias is bound, by its positional
-count and keyword names, against that name's signature. Nothing is
+call to a name it imports from rankdebias, or to an attribute of one
+(ErrorSet.misses), is bound, by its positional count and keyword names,
+against that callable's signature. Nothing is
 trained, except by the test of a function a demo defines, which loads the
 demo by path and runs the function on a tiny configuration."""
 
@@ -22,8 +23,9 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def unbindable_calls(source: str) -> list[str]:
-    """Calls in source to names imported from rankdebias that their
-    signatures do not accept, as 'line: name: reason'."""
+    """Calls in source to names imported from rankdebias, or to Name.attr
+    of such a name, that their signatures do not accept (or that name no
+    attribute), as 'line: name: reason'."""
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
@@ -33,17 +35,27 @@ def unbindable_calls(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = getattr(module, alias.name)
     problems = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in imported):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            name, target = func.id, imported[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in imported):
+            name = f"{func.value.id}.{func.attr}"
+            target = getattr(imported[func.value.id], func.attr, None)
+            if target is None:
+                problems.append(f"{node.lineno}: {name}: no such attribute")
+                continue
+        else:
             continue
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
                 k.arg is None for k in node.keywords):
             continue  # *args or **kwargs: the count is not known statically
         try:
-            inspect.signature(imported[node.func.id]).bind(
-                *node.args, **{k.arg: k.value for k in node.keywords})
+            inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
         except TypeError as exc:
-            problems.append(f"{node.lineno}: {node.func.id}: {exc}")
+            problems.append(f"{node.lineno}: {name}: {exc}")
     return problems
 
 
@@ -56,9 +68,11 @@ def test_demo_calls_match_library_signatures(demo):
     ("erm_train(ds, cfg, lambda_reg=0.5)", "unexpected keyword argument 'lambda_reg'"),
     ("debiased_linear_eval(enc, ds, errors, cfg, test=test)",
      "unexpected keyword argument 'test'"),
+    ("ErrorSet.misses(pred)", "ErrorSet.misses: missing a required argument: 'labels'"),
+    ("ErrorSet.missed(pred, ds.y)", "ErrorSet.missed: no such attribute"),
 ])
 def test_checker_flags_a_call_the_signature_refuses(call, reason):
-    source = ("from rankdebias.pipeline import debiased_linear_eval, erm_train\n"
+    source = ("from rankdebias.pipeline import ErrorSet, debiased_linear_eval, erm_train\n"
               f"result = {call}\n")
     [problem] = unbindable_calls(source)
     assert problem.startswith("2: ") and reason in problem

@@ -810,6 +810,18 @@ def test_error_set_quality_perfect_set():
     assert error_set_quality(es, ds) == (100.0, 100.0)
 
 
+def test_error_set_quality_refuses_a_set_built_on_another_set():
+    labeled = onehot_dataset()
+    test = labeled.take(np.arange(100))
+    es = ErrorSet(np.flatnonzero(~labeled.aligned), np.zeros(len(labeled), dtype=np.int64))
+    with pytest.raises(ValueError, match=f"error set built for {len(labeled)} samples, "
+                                         "labeled set has 100"):
+        error_set_quality(es, test)
+    # evaluate scores the error set on test when labeled is left out
+    with pytest.raises(ValueError, match="error set built for"):
+        evaluate(biased_model(), test, es)
+
+
 # -------------------------------------------------------------- bias metric
 
 
