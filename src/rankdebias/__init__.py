@@ -21,7 +21,6 @@ from .data import (
     gen_colorpoints,
     label_fraction_split,
     make_unbiased_testset,
-    split,
 )
 from .nn import DenseNet, cosine_lr, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -61,7 +60,6 @@ __all__ = [
     "gen_colorpoints",
     "label_fraction_split",
     "make_unbiased_testset",
-    "split",
     "DenseNet",
     "cosine_lr",
     "load_checkpoint",

@@ -28,8 +28,8 @@ IDX_LABELS_MAGIC = 0x00000801
 # the file of a saved dataset that holds its inputs
 INPUTS_NAME = "inputs.npy"
 # the most classes a target or bias label may have, wherever a count enters
-# (meta.json, GenConfig, a sweep spec): it bounds a head's logits, the
-# num_classes x num_bias_classes group tables and split's per-group loop
+# (meta.json, GenConfig, a sweep spec): it bounds a head's logits and the
+# num_classes x num_bias_classes group tables
 MAX_CLASSES = 1024
 # the most input entries (rows x width) a generated dataset may have, 2 GiB
 # of float64, wherever a size enters (GenConfig, a sweep spec)
@@ -98,11 +98,15 @@ class BiasedDataset:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
+    @property
+    def groups(self) -> np.ndarray:
+        """Each sample's (y, b) group index, y * num_bias_classes + b."""
+        return self.y * self.num_bias_classes + self.b
+
     def group_counts(self) -> np.ndarray:
         """(num_classes, num_bias_classes) table of sample counts per (y, b) group."""
-        counts = np.zeros((self.num_classes, self.num_bias_classes), dtype=np.int64)
-        np.add.at(counts, (self.y, self.b), 1)
-        return counts
+        C, B = self.num_classes, self.num_bias_classes
+        return np.bincount(self.groups, minlength=C * B).reshape(C, B)
 
     def take(self, indices) -> "BiasedDataset":
         """Subset by index, recomputing the empirical aligned fraction."""
@@ -139,13 +143,13 @@ class BiasedDataset:
 
     @classmethod
     def load(cls, directory) -> "BiasedDataset":
-        """Read a directory written by save. A malformed inputs.npy, or one
-        whose row count differs from labels.csv, raises ValueError naming
-        its path, as does a meta.json without a finite real bias_ratio and
-        num_classes and num_bias_classes in [1, MAX_CLASSES]; a labels.csv
-        that is not rows of three integers, or whose labels the dataset
-        refuses, or whose aligned column holds a value other than 0 or 1,
-        raises it naming labels.csv."""
+        """Read a directory written by save. A malformed inputs.npy, one of
+        width 0, or one whose row count differs from labels.csv, raises
+        ValueError naming its path, as does a meta.json without a real
+        bias_ratio in [0, 1] and num_classes and num_bias_classes in
+        [1, MAX_CLASSES]; a labels.csv that is not rows of three integers,
+        or whose labels the dataset refuses, or whose aligned column holds
+        a value other than 0 or 1, raises it naming labels.csv."""
         directory = Path(directory)
         inputs = _read_inputs(directory / INPUTS_NAME)
         labels_path = directory / "labels.csv"
@@ -190,16 +194,17 @@ class BiasedDataset:
 @dataclass
 class _MetaFields:
     """The fields of meta.json that load passes to the dataset, checked as
-    config fields are: a finite real and two positive integers of at most
-    MAX_CLASSES."""
+    config fields are: a real in [0, 1] (0 for a subset with no aligned
+    sample) and two positive integers of at most MAX_CLASSES."""
 
     bias_ratio: float
     num_classes: int
     num_bias_classes: int
 
     def __post_init__(self):
-        check_fields(self, {"num_classes": 1, "num_bias_classes": 1},
-                     {"num_classes": MAX_CLASSES, "num_bias_classes": MAX_CLASSES})
+        check_fields(self, {"bias_ratio": 0, "num_classes": 1, "num_bias_classes": 1},
+                     {"bias_ratio": 1, "num_classes": MAX_CLASSES,
+                      "num_bias_classes": MAX_CLASSES})
 
 
 def _read_inputs(path: Path) -> np.ndarray:
@@ -221,6 +226,8 @@ def _read_inputs(path: Path) -> np.ndarray:
                              f"got {dtype.str}{' in Fortran order' * fortran_order}")
         if len(shape) != 2 or min(shape) < 0:
             raise ValueError(f"{path}: need two non-negative dimensions, got shape {shape}")
+        if shape[1] == 0:
+            raise ValueError(f"{path}: rows have width 0")
         size = 8 * shape[0] * shape[1]
         left = os.fstat(f.fileno()).st_size - f.tell()
         if left != size:
@@ -268,15 +275,16 @@ def check_bias_ratio(bias_ratio: float) -> None:
 
 def image_shape(ds: BiasedDataset, where: str = "dataset") -> tuple[int, int, int]:
     """The (c, h, w) of the flattened images that are ds's rows, the
-    image_shape of its meta.json. A dataset without one, or whose
-    image_shape is not three positive integers whose product is the width,
-    raises ValueError starting with where."""
+    image_shape of its meta.json. A dataset without one, whose image_shape
+    is not three positive integers, or whose image_shape's product is not
+    the width raises ValueError starting with where."""
     shape = ds.meta.get("image_shape")
     if shape is None:
         raise ValueError(f"{where}: meta.json has no image_shape, so its rows are not images")
     if not (isinstance(shape, (list, tuple)) and len(shape) == 3
-            and all(type(s) is int and s > 0 for s in shape)
-            and math.prod(shape) == ds.input_dim):
+            and all(type(s) is int and s > 0 for s in shape)):
+        raise ValueError(f"{where}: image_shape {shape!r} is not three positive integers")
+    if math.prod(shape) != ds.input_dim:
         raise ValueError(f"{where}: rows have width {ds.input_dim}, "
                          f"not the product of image_shape {shape}")
     return tuple(shape)
@@ -516,54 +524,26 @@ def make_unbiased_testset(source: BiasedDataset, seed: int = 0) -> BiasedDataset
                          source.num_bias_classes, dict(source.meta))
 
 
-def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, ...]:
-    """Disjoint splits stratified by (y, b) group.
-
-    Within each group the per-part counts follow cumulative rounding, so
-    fractions summing to 1 cover the group exactly. Groups too small to
-    land in some part trigger a warning, not an error.
-    """
-    fractions = [float(f) for f in fractions]
-    if any(f < 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
-        raise ValueError(f"fractions must be >= 0 and sum to <= 1, got {fractions}")
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(fractions)
-    parts: list[list[np.ndarray]] = [[] for _ in fractions]
-    for yv in range(ds.num_classes):
-        for bv in range(ds.num_bias_classes):
-            # an empty group permutes to nothing and draws nothing
-            idx = rng.permutation(np.flatnonzero((ds.y == yv) & (ds.b == bv)))
-            start = 0
-            for part, edge in zip(parts, np.rint(cum * idx.size).astype(int)):
-                part.append(idx[start:edge])
-                start = edge
-    out = []
-    for i, chunks in enumerate(parts):
-        sel = np.sort(np.concatenate(chunks))
-        if sel.size == 0:
-            warnings.warn(f"split part {i} is empty", stacklevel=2)
-        out.append(ds.take(sel))
-    return tuple(out)
-
-
 def label_fraction_split(ds: BiasedDataset, fraction: float, seed: int = 0) -> BiasedDataset:
-    """The labeled part of a stratified split: split(ds, (fraction,), seed),
-    the first part of split(ds, (fraction, 1 - fraction), seed), with no
-    copy of the unlabeled rest; at fraction 1, ds itself."""
+    """The labeled part of a split stratified by (y, b) group: each nonempty
+    group, in ascending order of its index, keeps the first
+    rint(fraction * size) of a seeded permutation of its ascending sample
+    indices; at fraction 1, ds itself. Groups that keep nothing trigger a
+    warning, not an error."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"label fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
         return ds
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        (labeled,) = split(ds, (fraction,), seed)
-    empty_after = int(((labeled.group_counts() == 0) & (ds.group_counts() > 0)).sum())
-    if empty_after:
-        warnings.warn(
-            f"{empty_after} nonempty (y, b) groups lost all samples in the labeled split",
-            stacklevel=2,
-        )
-    return labeled
+    rng = np.random.default_rng(seed)
+    order = np.argsort(ds.groups, kind="stable")
+    # runs of one group index in order; a zero-row ds splits into one empty run
+    runs = np.split(order, np.flatnonzero(np.diff(ds.groups[order])) + 1)
+    kept = [rng.permutation(m)[:int(np.rint(fraction * m.size))] for m in runs if m.size]
+    lost = sum(k.size == 0 for k in kept)
+    if lost:
+        warnings.warn(f"{lost} nonempty (y, b) groups lost all samples in the labeled split",
+                      stacklevel=2)
+    return ds.take(np.sort(np.concatenate([order[:0], *kept])))
 
 
 @dataclass

@@ -345,7 +345,8 @@ def save_checkpoint(path, net: DenseNet, config: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[DenseNet, dict]:
-    """Read a checkpoint written by save_checkpoint; returns (net, sidecar)."""
+    """Read a checkpoint written by save_checkpoint; returns (net, sidecar).
+    A sidecar that is not a JSON object raises ValueError naming it."""
     path = Path(path)
     with open(path, "rb") as f:
 
@@ -381,4 +382,7 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")
-    return net, read_json(sidecar_path) if sidecar_path.exists() else {}
+    sidecar = read_json(sidecar_path) if sidecar_path.exists() else {}
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{sidecar_path}: need a JSON object, got {type(sidecar).__name__}")
+    return net, sidecar

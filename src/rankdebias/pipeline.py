@@ -522,8 +522,7 @@ def evaluate(model: Model, test: BiasedDataset, error_set: ErrorSet | None = Non
         return 100.0 * float(correct[mask].mean()) if mask.any() else float("nan")
 
     B = test.num_bias_classes
-    group = test.y * B + test.b
-    counts, hits = np.bincount(group), np.bincount(group, weights=correct)
+    counts, hits = np.bincount(test.groups), np.bincount(test.groups, weights=correct)
     # absent groups are omitted, not reported as zero
     table = [{"y": int(k // B), "b": int(k % B), "n": int(counts[k]),
               "acc": 100.0 * float(hits[k] / counts[k])} for k in np.flatnonzero(counts)]

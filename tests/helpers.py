@@ -5,18 +5,21 @@ finite differences instead of analytic gradients, eigendecomposition
 instead of SVD, explicit loops instead of vectorized updates. Keep it slow
 and obvious.
 
-bias_metric, the probe-accuracy ratio that the bias-metric acceptance
-gate reads, lives here because no command runs it. The job functions at
+split, the general N-part stratified split, lives here as the reference
+for label_fraction_split and as bias_metric's probe split. bias_metric,
+the probe-accuracy ratio that the bias-metric acceptance gate reads, lives
+here because no command runs it. The job functions at
 the end are what the run_jobs tests send to worker processes, which
 unpickle them by module and qualified name.
 """
 
 import os
 import time
+import warnings
 
 import numpy as np
 
-from rankdebias.data import split
+from rankdebias.data import BiasedDataset
 from rankdebias.nn import apply
 from rankdebias.pipeline import _train_head, stream
 
@@ -237,6 +240,36 @@ def loop_augment_images(X, rng, image_shape, cfg):
     for i in range(X.shape[0]):
         out[i] = _augment_image(X[i].reshape(image_shape), rng, cfg).reshape(-1)
     return out
+
+
+def split(ds: BiasedDataset, fractions, seed: int = 0) -> tuple[BiasedDataset, ...]:
+    """Disjoint splits stratified by (y, b) group.
+
+    Within each group the per-part counts follow cumulative rounding, so
+    fractions summing to 1 cover the group exactly. Groups too small to
+    land in some part trigger a warning, not an error.
+    """
+    fractions = [float(f) for f in fractions]
+    if any(f < 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
+        raise ValueError(f"fractions must be >= 0 and sum to <= 1, got {fractions}")
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(fractions)
+    parts: list[list[np.ndarray]] = [[] for _ in fractions]
+    for yv in range(ds.num_classes):
+        for bv in range(ds.num_bias_classes):
+            # an empty group permutes to nothing and draws nothing
+            idx = rng.permutation(np.flatnonzero((ds.y == yv) & (ds.b == bv)))
+            start = 0
+            for part, edge in zip(parts, np.rint(cum * idx.size).astype(int)):
+                part.append(idx[start:edge])
+                start = edge
+    out = []
+    for i, chunks in enumerate(parts):
+        sel = np.sort(np.concatenate(chunks))
+        if sel.size == 0:
+            warnings.warn(f"split part {i} is empty", stacklevel=2)
+        out.append(ds.take(sel))
+    return tuple(out)
 
 
 def bias_metric(encoder, ds, cfg) -> float:

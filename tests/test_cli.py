@@ -72,10 +72,13 @@ def ws(tmp_path_factory):
 @pytest.fixture(scope="module")
 def width7(tmp_path_factory):
     """Width-7 inputs to pair with the width-6 ones of ws: a dataset, an
-    encoder checkpoint, and a dataset whose image_shape holds 6 values."""
+    encoder checkpoint, and a dataset whose image_shape holds 6 values; and
+    a width-5 dataset, narrower than ws's."""
     root = tmp_path_factory.mktemp("width7")
     assert run(["data", "gen", "--n", 120, "--classes", 4, "--input-dim", 7,
                 "--seed", 2, "--out", root / "ds"]) == 0
+    assert run(["data", "gen", "--n", 120, "--classes", 3, "--input-dim", 5,
+                "--seed", 2, "--out", root / "ds5"]) == 0
     save_checkpoint(root / "encoder.ckpt", DenseNet.init([7, 8], np.random.default_rng(0)))
     images = BiasedDataset.load(root / "ds")
     images.meta["image_shape"] = [1, 2, 3]
@@ -154,7 +157,7 @@ def test_data_cmnist_bad_bias_ratio_exits_2_before_creating_out(tmp_path, capsys
     assert_refused(rc, capsys, tmp_path / "o", "bias_ratio must be in (0, 1]")
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "float32", "csv only"])
+@pytest.mark.parametrize("corrupt", ["truncated", "float32", "csv only", "zero width"])
 def test_pretrain_on_corrupt_inputs_exits_2_naming_the_file(ws, tmp_path, capsys, corrupt):
     data = tmp_path / "ds"
     BiasedDataset.load(ws / "ds").save(data)
@@ -163,6 +166,8 @@ def test_pretrain_on_corrupt_inputs_exits_2_naming_the_file(ws, tmp_path, capsys
         inputs.write_bytes(inputs.read_bytes()[:-8])
     elif corrupt == "float32":
         np.save(inputs, np.load(inputs).astype(np.float32))
+    elif corrupt == "zero width":
+        np.save(inputs, np.load(inputs)[:, :0])
     else:
         inputs.unlink()
         (data / "inputs.csv").write_text("0.5,0.5,0.5,0.5,0.5,0.5\n")
@@ -209,7 +214,8 @@ BAD_IMAGE_SHAPES = {"image-shape-str": "abc", "image-shape-float": [1, 2.0, 3],
                     "image-shape-bool": [True, 2, 3], "image-shape-negative": [-1, -1, 6]}
 
 
-@pytest.mark.parametrize("case", ["erm-test", "debias-test", "biased-ckpt", "main-ckpt",
+@pytest.mark.parametrize("case", ["erm-test", "debias-test", "erm-test-narrow",
+                                  "debias-test-narrow", "biased-ckpt", "main-ckpt",
                                   "spectrum-ckpt", "image-meta", "image-width",
                                   *BAD_IMAGE_SHAPES])
 def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
@@ -221,6 +227,7 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         monkeypatch.setattr(cli, trainer, refuse)
     ds, ckpt = ws / "ds", ws / "pre_b" / "encoder.ckpt"
     ds7, ckpt7, images = width7 / "ds", width7 / "encoder.ckpt", width7 / "images"
+    ds5 = width7 / "ds5"
     shaped = tmp_path / "shaped"
     if case in BAD_IMAGE_SHAPES:
         bad = BiasedDataset.load(ds)
@@ -231,14 +238,17 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
     argv, culprit = {
         "erm-test": (["erm", "--data", ds, "--test", ds7, *NET], ds7),
         "debias-test": ([*debias, "--test", ds7, *NET], ds7),
+        "erm-test-narrow": (["erm", "--data", ds, "--test", ds5, *NET], ds5),
+        "debias-test-narrow": ([*debias, "--test", ds5, *NET], ds5),
         "biased-ckpt": ([*debias, "--biased-ckpt", ckpt7, *NET], ckpt7),
         "main-ckpt": ([*debias, "--main-ckpt", ckpt7, *NET], ckpt7),
         "spectrum-ckpt": (["spectrum", "--ckpt", ckpt7, "--data", ds], ckpt7),
         # a data gen set has no image_shape; images holds 7 values a row, not 6
         "image-meta": ([*image, "--data", ds], ds),
         "image-width": ([*image, "--data", images], images),
-        **dict.fromkeys(BAD_IMAGE_SHAPES, ([*image, "--data", shaped],
-                                           f"{shaped}: rows have width 6, not the product")),
+        **{bad: ([*image, "--data", shaped],
+                 f"{shaped}: image_shape {shape!r} is not three positive integers")
+           for bad, shape in BAD_IMAGE_SHAPES.items()},
     }[case]
     # the last of a repeated flag wins
     assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o", str(culprit))
@@ -359,17 +369,19 @@ def test_a_generated_size_beyond_the_bound_exits_2_naming_it_before_out_exists(
                    f"error: {named}")
 
 
-@pytest.mark.parametrize("culprit", ["config", "spec", "sidecar"])
+@pytest.mark.parametrize("culprit", ["config", "spec", "sidecar", "sidecar list"])
 def test_an_input_that_is_not_json_exits_2_naming_it_before_out_exists(
         ws, tmp_path, capsys, culprit):
     ckpt = tmp_path / "encoder.ckpt"
     save_checkpoint(ckpt, load_checkpoint(ws / "pre_b" / "encoder.ckpt")[0])
     path = {"config": tmp_path / "config.json", "spec": tmp_path / "spec.json",
-            "sidecar": Path(f"{ckpt}.json")}[culprit]
-    path.write_text("{not json")
+            "sidecar": Path(f"{ckpt}.json"), "sidecar list": Path(f"{ckpt}.json")}[culprit]
+    # a sidecar must be a JSON object, as meta.json must
+    path.write_text("[1, 2]" if culprit == "sidecar list" else "{not json")
+    spectrum = ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"]
     argv = {"config": ["erm", "--data", ws / "ds", "--config", path, *NET],
             "spec": ["sweep", "--spec", path],
-            "sidecar": ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"]}[culprit]
+            "sidecar": spectrum, "sidecar list": spectrum}[culprit]
     assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o",
                    f"error: {path}: ")
 

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib import format as npy_format
 
-from helpers import loop_augment_images, lstsq_probe
+from helpers import loop_augment_images, lstsq_probe, split
 from rankdebias.data import (
     BIAS_OFFSET,
     CMNIST_PALETTE,
@@ -34,7 +34,6 @@ from rankdebias.data import (
     make_unbiased_testset,
     read_idx_images,
     read_idx_labels,
-    split,
     spurious_map,
     write_idx_images,
     write_idx_labels,
@@ -108,6 +107,8 @@ def test_load_refuses_a_labels_csv_of_two_columns_naming_it(tmp_path):
     ("bias_ratio", True, "bias_ratio must be real, got True"),
     ("bias_ratio", None, "bias_ratio must be real, got None"),
     ("bias_ratio", 1e400, "bias_ratio must be finite, got inf"),
+    ("bias_ratio", 5, "bias_ratio must be <= 1, got 5"),
+    ("bias_ratio", -0.1, "bias_ratio must be >= 0, got -0.1"),
     ("bias_ratio", "missing", "no bias_ratio"),
     ("num_classes", "missing", "no num_classes"),
     ("num_bias_classes", "missing", "no num_bias_classes"),
@@ -251,6 +252,8 @@ CORRUPT_INPUTS = {
     "header too large": _header_bytes((999999, 7)) + TEN_BY_SEVEN.tobytes(),
     "garbled header": _npy_bytes(TEN_BY_SEVEN).replace(b"'shape'", b"'shaqe'"),
     "9 of 10 rows": _npy_bytes(TEN_BY_SEVEN[:9]),
+    "11 of 10 rows": _npy_bytes(TEN_BY_SEVEN[[*range(10), 0]]),
+    "zero width": _npy_bytes(TEN_BY_SEVEN[:, :0]),
 }
 
 
@@ -548,13 +551,14 @@ def test_unbiased_testset_needs_known_generator():
 
 def test_split_stratified_ten_percent():
     ds = gen_colorpoints(GenConfig(n=1000, classes=10, bias_ratio=1.0, seed=15))
-    labeled, rest = split(ds, (0.1, 0.9), seed=16)
+    labeled = label_fraction_split(ds, 0.1, seed=16)
     assert len(labeled) == 100
     np.testing.assert_array_equal(np.bincount(labeled.y, minlength=10),
                                   np.full(10, 10))
-    assert len(labeled) + len(rest) == len(ds)
 
 
+# split, the N-part reference in helpers, must stay disjoint and covering:
+# bias_metric trains and tests its probes on its two halves
 def test_split_parts_are_disjoint_and_cover():
     ds = gen_colorpoints(GenConfig(n=600, classes=3, bias_ratio=0.7,
                                    input_dim=7, seed=17))
@@ -565,13 +569,14 @@ def test_split_parts_are_disjoint_and_cover():
     assert len(rows_a | rows_b) == len(ds)
 
 
+@pytest.mark.filterwarnings("ignore:.*lost all samples")  # one-member conflict groups
 def test_split_is_seed_deterministic():
     ds = gen_colorpoints(GenConfig(n=400, classes=4, bias_ratio=0.9,
                                    input_dim=8, seed=19))
-    a1, _ = split(ds, (0.5, 0.5), seed=20)
-    a2, _ = split(ds, (0.5, 0.5), seed=20)
+    a1 = label_fraction_split(ds, 0.5, seed=20)
+    a2 = label_fraction_split(ds, 0.5, seed=20)
     np.testing.assert_array_equal(a1.inputs, a2.inputs)
-    b1, _ = split(ds, (0.5, 0.5), seed=21)
+    b1 = label_fraction_split(ds, 0.5, seed=21)
     assert not np.array_equal(a1.inputs, b1.inputs)
 
 
@@ -604,6 +609,52 @@ def test_label_fraction_split_sizes_and_warning():
     assert labeled.bias_ratio == first.bias_ratio
     assert len(labeled) + len(rest) == 2000
     assert abs(len(labeled) - 200) <= 20
+
+
+def test_groups_index_y_then_b():
+    ds = _tiny_ds()
+    np.testing.assert_array_equal(ds.groups, [0, 1, 3, 3])
+    assert ds.group_counts().dtype == np.int64
+
+
+@st.composite
+def grouped_datasets(draw):
+    """Datasets of 0-300 rows over 1-8 target and 1-8 bias classes whose
+    (y, b) groups are skewed: many empty and one-member groups beside large
+    ones."""
+    C, B = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    group = rng.choice(C * B, n, p=rng.dirichlet(np.full(C * B, 0.2)))
+    y, b = np.divmod(group, B)
+    return BiasedDataset(rng.standard_normal((n, 3)), y, b, b == spurious_map(y), 0.5, C, B,
+                         {"generator": "drawn"})
+
+
+FRACTIONS = st.sampled_from([1e-3, 0.01, 0.1, 0.25, 0.5, 0.9, 0.999]) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_datasets(), FRACTIONS, st.integers(0, 2**31 - 1))
+@example(_tiny_ds().take(np.empty(0, dtype=np.int64)), 0.5, 0)  # zero rows
+@example(_tiny_ds(), 0.1, 3)  # groups of 1 and 2 members: every one keeps nothing
+@example(_tiny_ds(), 0.3, 4)  # the one-member groups keep nothing, the other keeps 1
+def test_label_fraction_split_is_the_first_part_of_split(ds, fraction, seed):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = label_fraction_split(ds, fraction, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (want,) = split(ds, (fraction,), seed)
+    for name in ("inputs", "y", "b", "aligned"):
+        a, e = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (e.dtype, e.shape, e.tobytes()), name
+    assert (got.bias_ratio, got.num_classes, got.num_bias_classes, got.meta) == (
+        want.bias_ratio, want.num_classes, want.num_bias_classes, want.meta)
+    lost = int(((want.group_counts() == 0) & (ds.group_counts() > 0)).sum())
+    assert [str(w.message) for w in caught] == (
+        [f"{lost} nonempty (y, b) groups lost all samples in the labeled split"] * (lost > 0))
 
 
 # ------------------------------------------------------------- augmentation
