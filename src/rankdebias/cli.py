@@ -71,6 +71,7 @@ from .pipeline import (
     ExperimentConfig,
     TrainingDiverged,
     debiased_linear_eval,
+    epoch_steps,
     erm_train,
     evaluate,
     finetune_semisup,
@@ -165,18 +166,28 @@ def _require_finite(values: np.ndarray, path: Path) -> None:
 
 
 def _load_dataset(path: str, width: int | None = None) -> BiasedDataset:
-    """The dataset at path. Non-finite inputs, or, given width, the
-    training dataset's, rows of another width raise ValueError naming the
-    file."""
+    """The dataset at path. No rows, non-finite inputs, or, given width,
+    the training dataset's, rows of another width raise ValueError naming
+    the directory or file."""
     directory = Path(path)
     if not directory.is_dir():
         raise FileNotFoundError(f"no dataset directory at {directory}")
     ds = BiasedDataset.load(directory)
+    if len(ds) == 0:
+        raise ValueError(f"{directory}: holds no samples")
     _require_finite(ds.inputs, directory / INPUTS_NAME)
     if width not in (None, ds.input_dim):
         raise ValueError(f"{directory}: rows have width {ds.input_dim}, "
                          f"the training rows have width {width}")
     return ds
+
+
+def _check_batches(n: int, batch_size: int, full: bool, what: str) -> None:
+    """epoch_steps' refusal of a set of n samples, naming what and --batch-size."""
+    try:
+        epoch_steps(n, batch_size, full)
+    except ValueError as exc:
+        raise ValueError(f"{what}, --batch-size {batch_size}: {exc}") from None
 
 
 def _load_encoder(path: str, width: int) -> DenseNet:
@@ -324,6 +335,7 @@ def cmd_pretrain(args) -> int:
     if args.role == "main":
         cfg = replace(cfg, lambda_reg=0.0)
     ds = _load_dataset(args.data)
+    _check_batches(len(ds), cfg.batch_size, True, f"--data {args.data}")
     if cfg.modality == "cmnist-image":
         image_shape(ds, args.data)
     columns = ["epoch", "loss", "eff_rank", "lr"]
@@ -343,6 +355,7 @@ def cmd_erm(args) -> int:
     cfg = _build_config(args)
     ds = _load_dataset(args.data)
     eval_ds = _load_dataset(args.test, ds.input_dim) if args.test else ds
+    _check_batches(len(ds), cfg.batch_size, False, f"--data {args.data}")
     columns = ["epoch", "loss", "ce", "rank_term", "lr", "eff_rank"]
 
     def work(stage, manifest_hash):
@@ -385,6 +398,9 @@ def cmd_debias(args) -> int:
     if len(labeled) == 0:
         raise ValueError(f"--label-fraction {args.label_fraction} labels none of the "
                          f"{len(ds)} samples of {args.data}")
+    if args.mode == "semisup":
+        _check_batches(len(labeled), cfg.batch_size, False, f"the labeled split of --data "
+                       f"{args.data} at --label-fraction {args.label_fraction}")
 
     def work(stage, manifest_hash):
         sidecar = {**asdict(cfg), "manifest_hash": manifest_hash}

@@ -52,6 +52,15 @@ CMNIST_PALETTE = (
 )
 
 
+def check_labels(labels: np.ndarray, classes: int, name: str = "labels") -> None:
+    """Raise ValueError, naming the first sample outside it, unless every
+    entry of labels lies in [0, classes)."""
+    outside = np.flatnonzero((labels < 0) | (labels >= classes))
+    if outside.size:
+        raise ValueError(f"{name} must lie in [0, {classes}), got "
+                         f"{labels[outside[0]]} at sample {outside[0]}")
+
+
 def spurious_map(y):
     """Bias value spuriously associated with each target class (identity)."""
     return np.asarray(y)
@@ -82,12 +91,8 @@ class BiasedDataset:
         n = self.inputs.shape[0]
         if not (self.y.shape[0] == self.b.shape[0] == self.aligned.shape[0] == n):
             raise ValueError("inputs, y, b and aligned must have the same length")
-        for name, labels, classes in (("y", self.y, self.num_classes),
-                                      ("b", self.b, self.num_bias_classes)):
-            outside = np.flatnonzero((labels < 0) | (labels >= classes))
-            if outside.size:
-                raise ValueError(f"{name} must lie in [0, {classes}), got "
-                                 f"{labels[outside[0]]} at sample {outside[0]}")
+        check_labels(self.y, self.num_classes, "y")
+        check_labels(self.b, self.num_bias_classes, "b")
         if not np.array_equal(self.aligned, self.b == spurious_map(self.y)):
             raise ValueError("aligned flags inconsistent with (y, b) and the spurious map")
 
@@ -174,8 +179,6 @@ class BiasedDataset:
                              f"but labels.csv has {labels.shape[0]}")
         meta_path = directory / "meta.json"
         meta = read_json(meta_path)
-        if not isinstance(meta, dict):
-            raise ValueError(f"{meta_path}: need a JSON object, got {type(meta).__name__}")
         names = [f.name for f in fields(_MetaFields)]
         missing = [name for name in names if name not in meta]
         if missing:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_labels
 from .spectral import rank_loss, rank_loss_grad
 
 
@@ -61,24 +62,29 @@ def cross_entropy(logits, labels, weights=None) -> tuple[float, np.ndarray]:
     return cross_entropy_core(logits, np.arange(n) * C + labels, weights)
 
 
-def check_labels(labels: np.ndarray, classes: int) -> None:
-    """Raise ValueError unless every entry of labels lies in [0, classes)."""
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError(f"labels must lie in [0, {classes}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-
-
 def cross_entropy_core(logits: np.ndarray, picks: np.ndarray, weights=None
                        ) -> tuple[float, np.ndarray]:
     """cross_entropy's arithmetic with no checks: logits is a float64
     (n, C) array, picks holds the flat position k * C + label of each
     row's label entry, and weights is None or a float64 array of shape
-    (n,). The row sum is the ufunc reduction the ndarray method runs. The
+    (n,)."""
+    n = logits.shape[0]
+    ell, grad = _softmax_terms(logits, picks)
+    if weights is not None:
+        ell *= weights
+        grad *= weights[:, None]
+    grad /= n
+    return float(np.add.reduce(ell) / n), grad
+
+
+def _softmax_terms(logits: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's unscaled softmax cross-entropy log(sum(exp(row))) -
+    row[pick], picks holding flat positions, and its gradient softmax - onehot.
+    The row sum is the ufunc reduction the ndarray method runs. The
     row max, exact in any order, reduces the rows of a transposed copy:
     C passes over n contiguous entries, not n over C. Of a row's NaNs it
     may keep another one than the ndarray method does, so a NaN's sign
     bit can differ; that row's loss term and gradient are NaN either way."""
-    n = logits.shape[0]
     shifted = logits - np.maximum.reduce(logits.T.copy(), 0)[:, None]
     grad = np.exp(shifted)
     Zsum = np.add.reduce(grad, 1)
@@ -86,11 +92,7 @@ def cross_entropy_core(logits: np.ndarray, picks: np.ndarray, weights=None
     ell = np.log(Zsum)
     ell -= shifted.take(picks)
     grad.reshape(-1)[picks] -= 1.0
-    if weights is not None:
-        ell *= weights
-        grad *= weights[:, None]
-    grad /= n
-    return float(np.add.reduce(ell) / n), grad
+    return ell, grad
 
 
 def debias_loss(logits, labels, spec: UpweightSpec) -> tuple[float, np.ndarray]:
@@ -137,23 +139,13 @@ def nt_xent(embeddings, tau: float) -> tuple[float, np.ndarray]:
     np.fill_diagonal(sim, -np.inf)
     pos = (np.arange(two_n) + n) % two_n
 
-    # loss_i = logsumexp_k(sim_ik) - sim_i,pos, arranged so that identical
-    # embeddings cancel exactly to log(2n - 1)
-    rowmax = sim.max(axis=1)
-    expd = np.exp(sim - rowmax[:, None])
-    np.fill_diagonal(expd, 0.0)
-    sumexp = expd.sum(axis=1)
-    losses = np.log(sumexp) + (rowmax - sim[np.arange(two_n), pos])
-    loss = float(np.sum(losses) / two_n)
-
-    # gradient wrt the similarity matrix, then back through the
-    # normalization z -> z / ||z||
-    A = expd / sumexp[:, None]
-    A[np.arange(two_n), pos] -= 1.0
+    # loss_i = logsumexp_k(sim_ik) - sim_i,pos, where exp(-inf) weighs the diagonal 0
+    # and identical rows give exactly log(2n - 1); then back through z -> z / ||z||
+    losses, A = _softmax_terms(sim, np.arange(two_n) * two_n + pos)
     A /= two_n * tau
     dZn = (A + A.T) @ Zn
     dZ = (dZn - np.sum(dZn * Zn, axis=1, keepdims=True) * Zn) / norms[:, None]
-    return loss, dZ
+    return float(np.add.reduce(losses) / two_n), dZ
 
 
 def rank_penalty(rep, lambda_reg: float) -> tuple[float, np.ndarray | None]:

@@ -86,13 +86,17 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path):
-    """The JSON value in the file at path. A file that does not hold JSON
-    text raises ValueError starting with path."""
+def read_json(path) -> dict:
+    """The JSON object in the file at path. A file that does not hold JSON
+    text, or holds another JSON value, raises ValueError starting with
+    path."""
     try:
-        return json.loads(Path(path).read_text())
+        value = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: need a JSON object, got {type(value).__name__}")
+    return value
 
 
 def write_manifest(out_dir, manifest: RunManifest) -> None:

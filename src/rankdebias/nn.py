@@ -382,7 +382,4 @@ def load_checkpoint(path) -> tuple[DenseNet, dict]:
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after parameters")
     sidecar_path = Path(str(path) + ".json")
-    sidecar = read_json(sidecar_path) if sidecar_path.exists() else {}
-    if not isinstance(sidecar, dict):
-        raise ValueError(f"{sidecar_path}: need a JSON object, got {type(sidecar).__name__}")
-    return net, sidecar
+    return net, read_json(sidecar_path) if sidecar_path.exists() else {}

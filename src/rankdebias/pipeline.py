@@ -32,9 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (BiasedDataset, augment_image_batch, augment_vector_batch, check_fields,
-                   image_shape)
-from .losses import (UpweightSpec, ZeroNormRow, check_labels, cross_entropy_core,
-                     rank_penalty, stage1_loss)
+                   check_labels, image_shape)
+from .losses import UpweightSpec, ZeroNormRow, cross_entropy_core, rank_penalty, stage1_loss
 from .nn import (
     AdamState,
     DenseNet,
@@ -184,16 +183,25 @@ class TrainingDiverged(RuntimeError):
         self.log = log or []
 
 
-def _epochs(n: int, batch_size: int, epochs: int, rng: np.random.Generator,
-            drop_small: int):
-    """The epoch trainers' batch rule: (steps per epoch, the epochs). Each
-    epoch cuts a fresh rng.permutation(n), drawn as it starts, into
-    consecutive batches, less a trailing one of fewer than drop_small
-    samples. Raises ValueError when that leaves no batch."""
-    steps = n // batch_size + (n % batch_size >= drop_small)
+def epoch_steps(n: int, batch_size: int, full: bool) -> int:
+    """The epoch trainers' batch rule: the steps of an epoch over n samples
+    in batches of batch_size. Pretraining (full) keeps only full batches,
+    so every step has 2 * batch_size - 2 negatives per anchor; erm and
+    finetuning keep a trailing batch of two samples or more. Raises
+    ValueError when that leaves no batch."""
+    least = batch_size if full else 2
+    steps = n // batch_size + (n % batch_size >= least)
     if steps == 0:
         raise ValueError(f"dataset of {n} samples is too small to train on: "
-                         f"a batch needs at least {drop_small}")
+                         f"a batch needs at least {least}")
+    return steps
+
+
+def _epochs(n: int, batch_size: int, epochs: int, rng: np.random.Generator, full: bool):
+    """(epoch_steps, the epochs). Each epoch cuts a fresh
+    rng.permutation(n), drawn as it starts, into consecutive batches, less
+    a trailing one smaller than epoch_steps' rule keeps."""
+    steps = epoch_steps(n, batch_size, full)
     starts = range(0, steps * batch_size, batch_size)
     return steps, ([order[s:s + batch_size] for s in starts]
                    for order in (rng.permutation(n) for _ in range(epochs)))
@@ -365,9 +373,8 @@ def erm_train(ds: BiasedDataset, cfg: ExperimentConfig,
                        else (ds.b, ds.num_bias_classes))
     n, m = ds.inputs.shape
 
-    # a trailing batch of a single sample is skipped
     steps_per_epoch, epochs = _epochs(n, cfg.batch_size, cfg.epochs,
-                                      stream(cfg.seed, "erm-batches"), 2)
+                                      stream(cfg.seed, "erm-batches"), False)
     ce_objective = _upweighted(labels, classes, None, cfg.lambda_up)
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "erm-encoder-init"))
@@ -394,9 +401,8 @@ def pretrain_biased(ds: BiasedDataset, cfg: ExperimentConfig
     outputs. Labels are never read. The projection head is discarded;
     returns the encoder and a per-epoch log (loss, eff_rank, lr)."""
     n, m = ds.inputs.shape
-    # only full batches, so every step has 2 * batch_size - 2 negatives per anchor
     steps_per_epoch, epochs = _epochs(n, cfg.batch_size, cfg.epochs,
-                                      stream(cfg.seed, "pretrain-batches"), cfg.batch_size)
+                                      stream(cfg.seed, "pretrain-batches"), True)
     encoder = DenseNet.init([m, *cfg.hidden_dims, cfg.latent_dim],
                             stream(cfg.seed, "pretrain-encoder-init"))
     proj = DenseNet.init([cfg.latent_dim, cfg.proj_hidden, cfg.proj_dim],
@@ -494,7 +500,7 @@ def finetune_semisup(model: Model, ds: BiasedDataset,
     input model is left untouched; a finetuned copy is returned."""
     objective = _upweighted(ds.y, model.head.out_dim, error_set, cfg.lambda_up)
     _, epochs = _epochs(len(ds), cfg.batch_size, cfg.finetune_epochs,
-                        stream(cfg.seed, "finetune-batches"), 2)
+                        stream(cfg.seed, "finetune-batches"), False)
     tuned = Model(model.encoder.copy(), model.head.copy())
     _fit([tuned.encoder, tuned.head], ds.inputs.__getitem__, epochs, objective,
          _Optimizer(lambda step: cfg.finetune_lr, cfg.finetune_weight_decay,

@@ -5,7 +5,10 @@ finite differences instead of analytic gradients, eigendecomposition
 instead of SVD, explicit loops instead of vectorized updates. Keep it slow
 and obvious.
 
-split, the general N-part stratified split, lives here as the reference
+reference_nt_xent, the contrastive loss with a shifted softmax of its
+own, is the byte-for-byte reference of nt_xent, which runs the softmax
+kernel every supervised fit runs. split, the general N-part stratified
+split, lives here as the reference
 for label_fraction_split and as bias_metric's probe split. bias_metric,
 the probe-accuracy ratio that the bias-metric acceptance gate reads, lives
 here because no command runs it. The job functions at
@@ -161,6 +164,39 @@ def softmax_rows(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_nt_xent(embeddings, tau):
+    """nt_xent's arithmetic with a softmax of its own: the row max and row
+    sum of the ndarray methods, the diagonal's weight set to 0, the
+    positive's pick by fancy index, and one division by 2n * tau."""
+    Z = np.asarray(embeddings, dtype=np.float64)
+    two_n = Z.shape[0]
+    n = two_n // 2
+    norms = np.linalg.norm(Z, axis=1)
+    Zn = Z / norms[:, None]
+
+    sim = (Zn @ Zn.T) / tau
+    np.fill_diagonal(sim, -np.inf)
+    pos = (np.arange(two_n) + n) % two_n
+
+    # loss_i = logsumexp_k(sim_ik) - sim_i,pos, arranged so that identical
+    # embeddings cancel exactly to log(2n - 1)
+    rowmax = sim.max(axis=1)
+    expd = np.exp(sim - rowmax[:, None])
+    np.fill_diagonal(expd, 0.0)
+    sumexp = expd.sum(axis=1)
+    losses = np.log(sumexp) + (rowmax - sim[np.arange(two_n), pos])
+    loss = float(np.sum(losses) / two_n)
+
+    # gradient wrt the similarity matrix, then back through the
+    # normalization z -> z / ||z||
+    A = expd / sumexp[:, None]
+    A[np.arange(two_n), pos] -= 1.0
+    A /= two_n * tau
+    dZn = (A + A.T) @ Zn
+    dZ = (dZn - np.sum(dZn * Zn, axis=1, keepdims=True) * Zn) / norms[:, None]
+    return loss, dZ
 
 
 def per_sample_xent(logits, labels):

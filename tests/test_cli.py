@@ -212,12 +212,15 @@ def test_input_path_of_the_wrong_kind_exits_2_naming_it(ws, tmp_path, capsys, co
 # image_shape values that are not three positive integers; each list multiplies to 6
 BAD_IMAGE_SHAPES = {"image-shape-str": "abc", "image-shape-float": [1, 2.0, 3],
                     "image-shape-bool": [True, 2, 3], "image-shape-negative": [-1, -1, 6]}
+NO_ROWS = ["erm-no-rows", "erm-test-no-rows", "debias-no-rows", "debias-test-no-rows",
+           "pretrain-no-rows", "spectrum-no-rows"]
 
 
 @pytest.mark.parametrize("case", ["erm-test", "debias-test", "erm-test-narrow",
                                   "debias-test-narrow", "biased-ckpt", "main-ckpt",
                                   "spectrum-ckpt", "image-meta", "image-width",
-                                  *BAD_IMAGE_SHAPES])
+                                  *BAD_IMAGE_SHAPES, *NO_ROWS, "pretrain-batch", "erm-batch",
+                                  "debias-batch"])
 def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         ws, width7, tmp_path, capsys, monkeypatch, case):
     def refuse(*args, **kwargs):
@@ -233,6 +236,13 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         bad = BiasedDataset.load(ds)
         bad.meta["image_shape"] = BAD_IMAGE_SHAPES[case]
         bad.save(shaped)
+    # no rows is what take([]) saves, which the on-disk format accepts
+    empty, one_row = tmp_path / "empty", tmp_path / "one"
+    if case in NO_ROWS:
+        BiasedDataset.load(ds).take([]).save(empty)
+    if case in ("erm-batch", "debias-batch"):
+        BiasedDataset.load(ds).take([0]).save(one_row)
+    too_small = "samples is too small to train on: a batch needs at least"
     debias = ["debias", "--data", ds, "--biased-ckpt", ckpt, "--main-ckpt", ckpt]
     image = ["pretrain", "--role", "main", "--modality", "cmnist-image", *NET]
     argv, culprit = {
@@ -249,6 +259,23 @@ def test_inputs_that_do_not_fit_exit_2_naming_them_before_out_exists(
         **{bad: ([*image, "--data", shaped],
                  f"{shaped}: image_shape {shape!r} is not three positive integers")
            for bad, shape in BAD_IMAGE_SHAPES.items()},
+        "erm-no-rows": (["erm", "--data", empty, *NET], f"{empty}: holds no samples"),
+        "erm-test-no-rows": (["erm", "--data", ds, "--test", empty, *NET],
+                             f"{empty}: holds no samples"),
+        "debias-no-rows": ([*debias, "--data", empty, *NET], f"{empty}: holds no samples"),
+        "debias-test-no-rows": ([*debias, "--test", empty, *NET], f"{empty}: holds no samples"),
+        "pretrain-no-rows": (["pretrain", "--role", "main", "--data", empty, *NET],
+                             f"{empty}: holds no samples"),
+        "spectrum-no-rows": (["spectrum", "--ckpt", ckpt, "--data", empty],
+                             f"{empty}: holds no samples"),
+        # NET trains at --batch-size 64
+        "pretrain-batch": (["pretrain", "--role", "main", "--data", ds, *NET, "--batch-size", 500],
+                           f"--data {ds}, --batch-size 500: dataset of 480 {too_small} 500"),
+        "erm-batch": (["erm", "--data", one_row, *NET],
+                      f"--data {one_row}, --batch-size 64: dataset of 1 {too_small} 2"),
+        "debias-batch": ([*debias, "--data", one_row, "--mode", "semisup", *NET],
+                         f"the labeled split of --data {one_row} at --label-fraction 1.0, "
+                         f"--batch-size 64: dataset of 1 {too_small} 2"),
     }[case]
     # the last of a repeated flag wins
     assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o", str(culprit))
@@ -369,21 +396,22 @@ def test_a_generated_size_beyond_the_bound_exits_2_naming_it_before_out_exists(
                    f"error: {named}")
 
 
-@pytest.mark.parametrize("culprit", ["config", "spec", "sidecar", "sidecar list"])
+@pytest.mark.parametrize("culprit", ["config", "spec", "sidecar", "sidecar list",
+                                     "config list", "spec list"])
 def test_an_input_that_is_not_json_exits_2_naming_it_before_out_exists(
         ws, tmp_path, capsys, culprit):
     ckpt = tmp_path / "encoder.ckpt"
     save_checkpoint(ckpt, load_checkpoint(ws / "pre_b" / "encoder.ckpt")[0])
+    kind = culprit.removesuffix(" list")
     path = {"config": tmp_path / "config.json", "spec": tmp_path / "spec.json",
-            "sidecar": Path(f"{ckpt}.json"), "sidecar list": Path(f"{ckpt}.json")}[culprit]
-    # a sidecar must be a JSON object, as meta.json must
-    path.write_text("[1, 2]" if culprit == "sidecar list" else "{not json")
-    spectrum = ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"]
+            "sidecar": Path(f"{ckpt}.json")}[kind]
+    # each JSON input must be an object, as meta.json must
+    path.write_text("[1, 2]" if culprit.endswith(" list") else "{not json")
     argv = {"config": ["erm", "--data", ws / "ds", "--config", path, *NET],
             "spec": ["sweep", "--spec", path],
-            "sidecar": spectrum, "sidecar list": spectrum}[culprit]
-    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o",
-                   f"error: {path}: ")
+            "sidecar": ["spectrum", "--ckpt", ckpt, "--data", ws / "ds"]}[kind]
+    named = f"error: {path}: " + ("need a JSON object, got list" if kind != culprit else "")
+    assert_refused(run([*argv, "--out", tmp_path / "o"]), capsys, tmp_path / "o", named)
 
 
 # --------------------------------------------------------------- pretrain

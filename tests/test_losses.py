@@ -3,10 +3,10 @@ contrastive loss, and the combined pretraining loss."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, per_sample_xent, rel_err
+from helpers import central_diff, per_sample_xent, reference_nt_xent, rel_err
 from rankdebias.losses import (
     UpweightSpec,
     cross_entropy,
@@ -205,6 +205,39 @@ def test_nt_xent_grad_sweep(seed, n, p, tau):
     assume(np.linalg.norm(grad) > 1e-6)
     fd = central_diff(lambda W: nt_xent(W, tau)[0], Z)
     assert rel_err(grad, fd) < 1e-4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 70), st.integers(1, 40),
+       st.floats(0.01, 2.0), st.sampled_from(["normal", "identical", "near-identical"]),
+       st.sampled_from([1e-3, 1.0, 10.0]))
+@example(0, 50, 8, 0.07, "normal", 1.0)  # --batch-size 100
+@example(1, 12, 8, 0.07, "normal", 1.0)  # --batch-size 24
+def test_nt_xent_is_byte_for_byte_the_contrastive_loss_with_its_own_softmax(
+        seed, n, p, tau, rows, scale):
+    # the gradient is divided by 2n * tau once: by 2n and then by tau
+    # moves its last bits when 2n is not a power of two
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(2 * n, p)) * scale
+    if rows != "normal":
+        Z = Z[0] + (0.0 if rows == "identical" else 1e-9) * Z
+    loss, grad = nt_xent(Z, tau)
+    want_loss, want_grad = reference_nt_xent(Z, tau)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_nt_xent_takes_nans_where_its_own_softmax_does():
+    # a NaN row: only the positions of the NaNs are compared, since the
+    # row max may keep a NaN of another sign bit
+    Z = np.random.default_rng(4).normal(size=(10, 5))
+    Z[3, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        loss, grad = nt_xent(Z, 0.1)
+        want_loss, want_grad = reference_nt_xent(Z, 0.1)
+    assert np.isnan(loss) and np.isnan(want_loss)
+    assert np.isnan(grad).any()
+    np.testing.assert_array_equal(np.isnan(grad), np.isnan(want_grad))
 
 
 def test_nt_xent_rotation_invariance():

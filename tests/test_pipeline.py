@@ -263,7 +263,9 @@ def _old_epoch_batches(n, batch_size, rng, drop_small):
 def test_epochs_count_and_cut_the_batches_of_the_old_generator(drop_small, remainder):
     batch_size, epochs = 8, 3
     n = 5 * batch_size + remainder
-    steps, got = pipeline._epochs(n, batch_size, epochs, stream(7, "batches"), drop_small)
+    # drop_small 8, a full batch, is pretraining's rule; 2 that of erm and finetuning
+    steps, got = pipeline._epochs(n, batch_size, epochs, stream(7, "batches"),
+                                  drop_small == batch_size)
     old_rng = stream(7, "batches")
     want = [[idx.tolist() for idx in _old_epoch_batches(n, batch_size, old_rng, drop_small)]
             for _ in range(epochs)]
@@ -400,7 +402,7 @@ def test_head_fits_check_every_label_before_the_first_step(monkeypatch):
     reps = np.random.default_rng(3).normal(size=(50, 4))
     labels = np.zeros(50, dtype=np.int64)
     labels[-1] = 3  # one label, which a short fit's draws may never reach
-    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got range \[0, 3\]"):
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got 3 at sample 49"):
         pipeline._train_head(reps, labels, 3, tiny_cfg(head_iters=1), "h")
 
 
